@@ -137,8 +137,11 @@ void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
             runner::Trial t;
             t.spec.algorithm = incremental ? "HIST-delta" : "HIST-scratch";
             t.spec.seed = seed;
+            // `mode` keeps delta and scratch rows distinct for the gate,
+            // which keys rows on (algorithm, params).
             t.spec.params = {{"n", std::to_string(point.nodes)},
                              {"w", std::to_string(window)},
+                             {"mode", incremental ? "delta" : "scratch"},
                              {"flash", flash ? "on" : "off"}};
             HistoricConfig cfg;
             cfg.nodes = point.nodes;
@@ -161,7 +164,7 @@ void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
       runner::Trial t;
       t.spec.algorithm = "HIST-delta+suppress";
       t.spec.seed = seed;
-      t.spec.params = {{"n", "200"}, {"w", "64"}, {"eps", "2"}};
+      t.spec.params = {{"n", "200"}, {"w", "64"}, {"mode", "delta"}, {"eps", "2"}};
       HistoricConfig cfg;
       cfg.nodes = 200;
       cfg.rooms = 16;

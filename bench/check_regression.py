@@ -11,6 +11,11 @@ Gated scenarios:
   E16 throughput         metric epochs_per_sec (the default)
   E17 server_throughput  metric coord_qps
   E18 fanout_throughput  metric deliveries_per_sec
+  E19 reliability_tradeoff  metric completeness
+  E20 historic_throughput   metric epochs_per_sec
+
+Rows are keyed on (algorithm, params): a file with two ok trials under one
+key is rejected (exit 2), since one would silently shadow the other.
 
 Only the gated metric can fail the build, but every numeric metric the two
 runs share is printed per sweep row (baseline -> current, ratio) on pass as
@@ -37,9 +42,20 @@ class BenchFileError(Exception):
     """A bench JSON file that cannot be read or parsed (one-line message)."""
 
 
+def trial_key(trial):
+    """(algorithm, sorted (param, value) pairs): one sweep row's identity."""
+    params = tuple(sorted((k, str(v)) for k, v in dict(trial["params"]).items()))
+    return (str(trial.get("algorithm", "")), params)
+
+
+def describe(key):
+    algorithm, params = key
+    return f"{algorithm} {dict(params)}"
+
+
 def load_points(path, metric):
-    """Returns ({(param tuple): gated metric value},
-    {(param tuple): {name: value}}) for every ok trial."""
+    """Returns ({key: gated metric value}, {key: {name: value}}) for every ok
+    trial, keyed by trial_key. Duplicate keys are a BenchFileError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -58,7 +74,12 @@ def load_points(path, metric):
     for trial in doc.get("trials", []):
         if not trial.get("ok", False):
             continue
-        key = tuple(sorted((k, str(v)) for k, v in dict(trial["params"]).items()))
+        key = trial_key(trial)
+        if key in all_metrics:
+            raise BenchFileError(
+                f"bench file {path} has two trials keyed {describe(key)}; "
+                "give the sweep a param that tells them apart"
+            )
         metrics = dict(trial["metrics"])
         all_metrics[key] = {
             name: float(value)
@@ -87,15 +108,19 @@ def self_test():
     import subprocess
     import tempfile
 
-    good = {
-        "trials": [
-            {
-                "ok": True,
-                "params": [["case", "ref"]],
-                "metrics": [["epochs_per_sec", 100.0]],
-            }
-        ]
-    }
+    def trial(algorithm, eps):
+        return {
+            "ok": True,
+            "algorithm": algorithm,
+            "params": [["case", "ref"]],
+            "metrics": [["epochs_per_sec", eps]],
+        }
+
+    good = {"trials": [trial("A", 100.0)]}
+    # Same params, different algorithms: two distinct rows, both gated.
+    two_algorithms = {"trials": [trial("A", 100.0), trial("B", 100.0)]}
+    two_algorithms_b_slow = {"trials": [trial("A", 100.0), trial("B", 10.0)]}
+    duplicate = {"trials": [trial("A", 100.0), trial("A", 100.0)]}
 
     def run(baseline_path, current_path):
         return subprocess.run(
@@ -113,12 +138,22 @@ def self_test():
         with open(garbage_path, "w") as fh:
             fh.write("{not json")
         missing_path = os.path.join(tmp, "does-not-exist.json")
+        paths = {}
+        for name, doc in [("two", two_algorithms), ("two_slow", two_algorithms_b_slow),
+                          ("duplicate", duplicate)]:
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(doc, fh)
 
         cases = [
             ("missing baseline", run(missing_path, good_path), 2),
             ("garbage baseline", run(garbage_path, good_path), 2),
             ("missing current", run(good_path, missing_path), 2),
             ("identical runs", run(good_path, good_path), 0),
+            ("duplicate key in baseline", run(paths["duplicate"], good_path), 2),
+            ("duplicate key in current", run(good_path, paths["duplicate"]), 2),
+            ("same params, two algorithms", run(paths["two"], paths["two"]), 0),
+            ("second algorithm regressed", run(paths["two"], paths["two_slow"]), 1),
         ]
         for name, proc, want in cases:
             if proc.returncode != want:
@@ -132,7 +167,8 @@ def self_test():
         for failure in failures:
             print(f"self-test FAILED: {failure}", file=sys.stderr)
         return 1
-    print("self-test ok: error paths exit 2 with one-line errors, no traceback")
+    print("self-test ok: error paths exit 2 with one-line errors, no traceback; "
+          "rows keyed on (algorithm, params), duplicates rejected")
     return 0
 
 
@@ -191,7 +227,7 @@ def main():
             status = "REGRESSION"
             failures.append((key, base_eps, cur_eps, ratio))
         print(
-            f"{dict(key)}: baseline {base_eps:.1f} {args.metric}, "
+            f"{describe(key)}: baseline {base_eps:.1f} {args.metric}, "
             f"current {cur_eps:.1f} ({ratio:.2f}x) {status}"
         )
         print_metric_deltas(baseline_metrics.get(key, {}), current_metrics.get(key, {}),
@@ -204,7 +240,7 @@ def main():
             file=sys.stderr,
         )
         for key in missing:
-            print(f"  {dict(key)}", file=sys.stderr)
+            print(f"  {describe(key)}", file=sys.stderr)
         return 2
     if compared == 0:
         print("error: no comparable sweep points; gate would be vacuous", file=sys.stderr)
@@ -217,7 +253,7 @@ def main():
         )
         for key, base_eps, cur_eps, ratio in failures:
             print(
-                f"  {dict(key)}: {base_eps:.1f} -> {cur_eps:.1f} eps ({ratio:.2f}x)",
+                f"  {describe(key)}: {base_eps:.1f} -> {cur_eps:.1f} eps ({ratio:.2f}x)",
                 file=sys.stderr,
             )
         return 1

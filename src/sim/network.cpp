@@ -166,7 +166,7 @@ void Network::MarkEpochDegraded(uint32_t truncated) {
 uint32_t Network::ApplyWaveDepthBudget(int depth_cap) {
   uint32_t cut = 0;
   for (NodeId node : tree_->wave_order()) {
-    if (tree_->depth(node) > static_cast<size_t>(depth_cap) && NodeAlive(node)) ++cut;
+    if (tree_->depth(node) > depth_cap && NodeAlive(node)) ++cut;
   }
   if (cut > 0) MarkEpochDegraded(cut);
   return cut;

@@ -8,52 +8,43 @@ namespace kspot::sim {
 
 namespace {
 
-/// One round of the cluster-aware first-heard adoption discipline: every
-/// node in `frontier` beacons (in rng-shuffled order, modeling radio/arrival
-/// nondeterminism); each node of `candidates` (ascending; the nodes wanting
-/// a parent) that heard one or more beacons adopts a same-room non-sink
-/// broadcaster when it heard one, the first heard otherwise. Returns the
-/// (node, parent) adoptions in node order. Shared by BuildClusterAware and
-/// Repair so the re-attachment rule can never drift from the construction
-/// rule.
+/// One round of the cluster-aware first-heard adoption discipline, as
+/// Repair runs it: every node in `frontier` beacons (in rng-shuffled order,
+/// modeling radio/arrival nondeterminism); each node of `candidates`
+/// (ascending; the nodes wanting a parent) that heard one or more beacons
+/// adopts the first-heard same-room non-sink broadcaster when it heard one,
+/// the first heard otherwise. Returns the (node, parent) adoptions in node
+/// order. BuildClusterAware runs the same rule frontier-driven (see there);
+/// fault_test pins the two to identical trees and rng consumption.
 ///
 /// The loop is candidate-driven: instead of every beaconing node scanning
 /// its whole neighborhood for joiners (O(|frontier| * degree), which is the
 /// entire attached component in a repair's first round), each of the few
-/// candidates scans its own neighborhood and reconstructs beacon arrival
-/// order from the shuffled frontier ranks — identical adoptions and
-/// identical rng consumption, proportional to the churn instead of the
-/// network.
+/// candidates scans its own neighborhood for the lowest beacon ranks —
+/// proportional to the churn instead of the network.
 std::vector<std::pair<NodeId, NodeId>> ClusterAwareAdoptionRound(
-    const Topology& topology, const std::vector<std::vector<NodeId>>& adj,
-    std::vector<NodeId>& frontier, const std::vector<NodeId>& candidates, util::Rng& rng,
-    RepairWorkspace& workspace) {
+    const Topology& topology, std::vector<NodeId>& frontier,
+    const std::vector<NodeId>& candidates, util::Rng& rng, RepairWorkspace& workspace) {
   rng.Shuffle(frontier);
   size_t n = topology.num_nodes();
-  if (workspace.frontier_pos.size() != n) workspace.frontier_pos.assign(n, -1);
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    workspace.frontier_pos[frontier[i]] = static_cast<int32_t>(i);
-  }
+  auto& rank = workspace.frontier_pos;
+  if (rank.size() != n) rank.assign(n, -1);
+  for (size_t i = 0; i < frontier.size(); ++i) rank[frontier[i]] = static_cast<int32_t>(i);
   std::vector<std::pair<NodeId, NodeId>> adoptions;
   for (NodeId v : candidates) {
-    auto& heard = workspace.heard;
-    heard.clear();
-    for (NodeId u : adj[v]) {
-      if (workspace.frontier_pos[u] >= 0) heard.emplace_back(workspace.frontier_pos[u], u);
-    }
-    if (heard.empty()) continue;
-    std::sort(heard.begin(), heard.end());
-    NodeId pick = kNoNode;
-    for (const auto& [rank, u] : heard) {
-      if (topology.room(u) == topology.room(v) && u != kSinkId) {
-        pick = u;
-        break;
+    NodeId first = kNoNode;
+    NodeId roommate = kNoNode;
+    topology.ForEachNeighbor(v, [&](NodeId u) {
+      if (rank[u] < 0) return;
+      if (first == kNoNode || rank[u] < rank[first]) first = u;
+      if (u != kSinkId && topology.room(u) == topology.room(v) &&
+          (roommate == kNoNode || rank[u] < rank[roommate])) {
+        roommate = u;
       }
-    }
-    if (pick == kNoNode) pick = heard.front().second;
-    adoptions.emplace_back(v, pick);
+    });
+    if (first != kNoNode) adoptions.emplace_back(v, roommate != kNoNode ? roommate : first);
   }
-  for (NodeId u : frontier) workspace.frontier_pos[u] = -1;
+  for (NodeId u : frontier) rank[u] = -1;
   return adoptions;
 }
 
@@ -88,41 +79,49 @@ RoutingTree RoutingTree::BuildFirstHeard(const Topology& topology, util::Rng& rn
 }
 
 RoutingTree RoutingTree::BuildClusterAware(const Topology& topology, util::Rng& rng) {
-  auto adj = topology.BuildAdjacency();
-  size_t n = topology.num_nodes();
-  std::vector<NodeId> parents(n, kNoNode);
-  std::vector<bool> joined(n, false);
-  joined[kSinkId] = true;
   // Frontier expansion like first-heard, but an undecided node that hears
   // several beacons in the same round adopts a same-room broadcaster when
   // one exists (in a real deployment the cluster id rides in the beacon and
-  // the node filters on it).
-  RepairWorkspace workspace;
+  // the node filters on it). The round is frontier-driven: walking the
+  // shuffled beacons in arrival order, each unjoined neighbour records the
+  // first beacon it hears and the first same-room non-sink one. Every node
+  // beacons exactly once, so the whole build visits each edge twice, O(edges).
+  size_t n = topology.num_nodes();
+  std::vector<NodeId> parents(n, kNoNode);
+  std::vector<uint8_t> joined(n, 0);
+  joined[kSinkId] = 1;
+  std::vector<NodeId> first(n, kNoNode);
+  std::vector<NodeId> roommate(n, kNoNode);
   std::vector<NodeId> frontier = {kSinkId};
-  std::vector<NodeId> candidates;
-  candidates.reserve(n - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != kSinkId) candidates.push_back(v);
-  }
+  std::vector<NodeId> heard;
   while (!frontier.empty()) {
-    auto adoptions =
-        ClusterAwareAdoptionRound(topology, adj, frontier, candidates, rng, workspace);
-    frontier.clear();
-    for (const auto& [v, parent] : adoptions) {
-      parents[v] = parent;
-      joined[v] = true;
-      frontier.push_back(v);
+    rng.Shuffle(frontier);
+    heard.clear();
+    for (NodeId u : frontier) {
+      topology.ForEachNeighbor(u, [&](NodeId v) {
+        if (joined[v]) return;
+        if (first[v] == kNoNode) {
+          first[v] = u;
+          heard.push_back(v);
+        }
+        if (roommate[v] == kNoNode && u != kSinkId && topology.room(u) == topology.room(v)) {
+          roommate[v] = u;
+        }
+      });
     }
-    candidates.erase(
-        std::remove_if(candidates.begin(), candidates.end(), [&](NodeId v) { return joined[v]; }),
-        candidates.end());
+    // Adopt in ascending node order; the adopters are the next frontier.
+    std::sort(heard.begin(), heard.end());
+    for (NodeId v : heard) {
+      parents[v] = roommate[v] != kNoNode ? roommate[v] : first[v];
+      joined[v] = 1;
+    }
+    frontier.swap(heard);
   }
   return FromParents(std::move(parents));
 }
 
 RoutingTree RoutingTree::BuildMinHop(const Topology& topology) {
   auto adj = topology.BuildAdjacency();
-  for (auto& neighbors : adj) std::sort(neighbors.begin(), neighbors.end());
   size_t n = topology.num_nodes();
   std::vector<NodeId> parents(n, kNoNode);
   std::vector<bool> joined(n, false);
@@ -220,12 +219,6 @@ void RoutingTree::FinishConstruction() {
 }
 
 RepairReport RoutingTree::Repair(const Topology& topology,
-                                 const std::function<bool(NodeId)>& is_up, util::Rng& rng) {
-  return Repair(topology, topology.BuildAdjacency(), is_up, rng);
-}
-
-RepairReport RoutingTree::Repair(const Topology& topology,
-                                 const std::vector<std::vector<NodeId>>& adj,
                                  const std::function<bool(NodeId)>& is_up, util::Rng& rng,
                                  RepairWorkspace* workspace) {
   RepairWorkspace local;
@@ -294,7 +287,7 @@ RepairReport RoutingTree::Repair(const Topology& topology,
   // diverge from the seed behaviour.
   while (!ws.frontier.empty()) {
     auto adoptions =
-        ClusterAwareAdoptionRound(topology, adj, ws.frontier, ws.candidates, rng, ws);
+        ClusterAwareAdoptionRound(topology, ws.frontier, ws.candidates, rng, ws);
     ws.frontier.clear();
     // A joiner's surviving subtree is attached with it; all of the newly
     // attached beacon in the next round.

@@ -2,21 +2,92 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
-#include <unordered_map>
 
 namespace kspot::sim {
 
-double Distance(const Position& a, const Position& b) {
-  double dx = a.x - b.x;
-  double dy = a.y - b.y;
-  return std::sqrt(dx * dx + dy * dy);
+double Distance(const Position& a, const Position& b) { return std::sqrt(SquaredDistance(a, b)); }
+
+namespace {
+
+/// Cells are this much (relative) wider than the range. A pair within range
+/// can then never land two cells apart, even after the rounding of the
+/// offset and the division that place it, as long as an axis holds at most
+/// kMaxCellsPerAxis cells (each quotient is off by at most a few ulps of
+/// that count, ~1e-9, far below the slack).
+constexpr double kCellSlack = 1e-6;
+/// Bounds on the grid: at most this many cells per node, and per axis. A
+/// huge extent with a tiny range widens the cells instead (more candidates
+/// per block, same answers), keeping the index O(n).
+constexpr double kMaxCellsPerNode = 4.0;
+constexpr double kMaxCellsPerAxis = 1 << 20;
+
+/// The largest t with sqrt(t) <= range (IEEE sqrt is correctly rounded and
+/// so monotone: sqrt(d2) <= range exactly when d2 <= t). Starts from
+/// range * range, which lies within an ulp or two of t.
+double SquaredRangeThreshold(double range) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(range >= 0.0)) return -kInf;  // no pair is in range (NaN range too)
+  if (range == kInf) return kInf;
+  double t = range * range;
+  while (std::sqrt(t) > range) t = std::nextafter(t, 0.0);
+  while (std::sqrt(std::nextafter(t, kInf)) <= range) t = std::nextafter(t, kInf);
+  return t;
 }
+
+}  // namespace
 
 Topology::Topology(std::vector<Position> positions, std::vector<GroupId> rooms,
                    double comm_range)
     : positions_(std::move(positions)), rooms_(std::move(rooms)), comm_range_(comm_range) {
   rooms_.resize(positions_.size(), 0);
+  BuildCellIndex();
+}
+
+void Topology::BuildCellIndex() {
+  range_sq_ = SquaredRangeThreshold(comm_range_);
+  size_t n = positions_.size();
+  if (n == 0) return;
+  double max_x = positions_[0].x;
+  double max_y = positions_[0].y;
+  origin_x_ = max_x;
+  origin_y_ = max_y;
+  for (const Position& p : positions_) {
+    origin_x_ = std::min(origin_x_, p.x);
+    origin_y_ = std::min(origin_y_, p.y);
+    max_x = std::max(max_x, p.x);
+    max_y = std::max(max_y, p.y);
+  }
+  double width = max_x - origin_x_;
+  double height = max_y - origin_y_;
+  // Any positive side works for range 0 (only coincident nodes connect); an
+  // infinite range gets one cell.
+  cell_side_ = comm_range_ > 0.0 ? comm_range_ * (1.0 + kCellSlack) : 1.0;
+  double max_cells = kMaxCellsPerNode * static_cast<double>(n);
+  while (true) {
+    double cols = std::floor(width / cell_side_) + 1.0;
+    double rows = std::floor(height / cell_side_) + 1.0;
+    if (cols * rows <= max_cells && cols <= kMaxCellsPerAxis && rows <= kMaxCellsPerAxis) {
+      cols_ = static_cast<size_t>(cols);
+      rows_ = static_cast<size_t>(rows);
+      break;
+    }
+    cell_side_ *= 2.0;
+  }
+  // Counting sort by cell; ascending i keeps every cell's ids ascending.
+  auto cell_of = [&](const Position& p) {
+    return CellCoord(p.y - origin_y_, rows_) * cols_ + CellCoord(p.x - origin_x_, cols_);
+  };
+  cell_start_.assign(cols_ * rows_ + 1, 0);
+  for (const Position& p : positions_) ++cell_start_[cell_of(p) + 1];
+  for (size_t c = 0; c < cols_ * rows_; ++c) cell_start_[c + 1] += cell_start_[c];
+  cell_nodes_.resize(n);
+  std::vector<uint32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t k = cursor[cell_of(positions_[i])]++;
+    cell_nodes_[k] = static_cast<NodeId>(i);
+  }
 }
 
 std::vector<GroupId> Topology::DistinctRooms() const {
@@ -34,49 +105,25 @@ std::vector<NodeId> Topology::NodesInRoom(GroupId room) const {
 }
 
 std::vector<std::vector<NodeId>> Topology::BuildAdjacency() const {
-  // Spatial-hash neighbor search: bucket nodes into comm_range-sized cells,
-  // then each node only tests candidates from its 3x3 cell neighborhood —
-  // O(n + edges) expected instead of the O(n^2) all-pairs scan, which is what
-  // makes 100k-node deployments buildable. Each adjacency list is sorted
-  // ascending, exactly the order the all-pairs scan produced.
+  // Count pass, exact reserve, then a transpose fill: visiting i ascending
+  // and appending i to each neighbour's list leaves every list ascending
+  // (the disc graph is symmetric), with no sort and no capacity slack.
   size_t n = positions_.size();
-  std::vector<std::vector<NodeId>> adj(n);
-  if (n == 0) return adj;
-  double cell = comm_range_ > 0.0 ? comm_range_ : 1.0;
-  auto cell_key = [&](const Position& p) {
-    auto cx = static_cast<int64_t>(std::floor(p.x / cell));
-    auto cy = static_cast<int64_t>(std::floor(p.y / cell));
-    return (static_cast<uint64_t>(cx) << 32) ^ static_cast<uint64_t>(cy & 0xFFFFFFFFLL);
-  };
-  std::unordered_map<uint64_t, std::vector<NodeId>> buckets;
-  buckets.reserve(n);
-  for (size_t i = 0; i < n; ++i) buckets[cell_key(positions_[i])].push_back(static_cast<NodeId>(i));
-  std::vector<NodeId> neighbors;
+  std::vector<uint32_t> degree(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    neighbors.clear();
-    auto cx = static_cast<int64_t>(std::floor(positions_[i].x / cell));
-    auto cy = static_cast<int64_t>(std::floor(positions_[i].y / cell));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        uint64_t key = (static_cast<uint64_t>(cx + dx) << 32) ^
-                       static_cast<uint64_t>((cy + dy) & 0xFFFFFFFFLL);
-        auto it = buckets.find(key);
-        if (it == buckets.end()) continue;
-        for (NodeId j : it->second) {
-          if (j == static_cast<NodeId>(i)) continue;
-          if (Distance(positions_[i], positions_[j]) <= comm_range_) neighbors.push_back(j);
-        }
-      }
-    }
-    std::sort(neighbors.begin(), neighbors.end());
-    adj[i].assign(neighbors.begin(), neighbors.end());
+    ForEachNeighbor(static_cast<NodeId>(i), [&](NodeId) { ++degree[i]; });
+  }
+  std::vector<std::vector<NodeId>> adj(n);
+  for (size_t i = 0; i < n; ++i) adj[i].reserve(degree[i]);
+  for (size_t i = 0; i < n; ++i) {
+    ForEachNeighbor(static_cast<NodeId>(i),
+                    [&](NodeId j) { adj[j].push_back(static_cast<NodeId>(i)); });
   }
   return adj;
 }
 
 bool Topology::IsConnected() const {
   if (positions_.empty()) return false;
-  auto adj = BuildAdjacency();
   std::vector<bool> seen(positions_.size(), false);
   std::vector<NodeId> stack = {kSinkId};
   seen[kSinkId] = true;
@@ -85,12 +132,12 @@ bool Topology::IsConnected() const {
     NodeId u = stack.back();
     stack.pop_back();
     ++count;
-    for (NodeId v : adj[u]) {
+    ForEachNeighbor(u, [&](NodeId v) {
       if (!seen[v]) {
         seen[v] = true;
         stack.push_back(v);
       }
-    }
+    });
   }
   return count == positions_.size();
 }

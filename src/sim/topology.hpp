@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,12 +17,27 @@ struct Position {
   double y = 0.0;
 };
 
+/// Squared Euclidean distance: the radicand Distance takes the root of.
+inline double SquaredDistance(const Position& a, const Position& b) {
+  double dx = a.x - b.x;
+  double dy = a.y - b.y;
+  return dx * dx + dy * dy;
+}
+
 /// Euclidean distance between two positions.
 double Distance(const Position& a, const Position& b);
 
 /// Static description of a deployment: node positions, the room (cluster) each
 /// node belongs to, and the radio communication range. Node 0 is the sink and
 /// by convention carries no sensor of its own (it is the MIB520 base station).
+///
+/// Two nodes are radio neighbours when `Distance(a, b) <= comm_range()`. The
+/// constructor builds a cell index over the (immutable) positions: node ids
+/// counting-sorted into a dense grid of square cells slightly wider than the
+/// range, so every neighbour of a node lies in its 3x3 cell block. The index
+/// takes O(n) memory and is the only neighbour search in the simulator;
+/// callers that need neighbours in ascending id order materialize them with
+/// BuildAdjacency, everyone else visits them with ForEachNeighbor.
 class Topology {
  public:
   Topology() = default;
@@ -53,7 +70,31 @@ class Topology {
   /// Ids of nodes in `room`, ascending.
   std::vector<NodeId> NodesInRoom(GroupId room) const;
 
-  /// Neighbor lists under the disc model (symmetric, excludes self).
+  /// Calls `fn(j)` once for every neighbour j of node `i` (every j != i with
+  /// `Distance(position(i), position(j)) <= comm_range()`), in cell order,
+  /// not id order. A template so the dense builds' ~10^8 visits inline.
+  template <typename Fn>
+  void ForEachNeighbor(NodeId i, Fn&& fn) const {
+    const Position& p = positions_[i];
+    size_t cx = CellCoord(p.x - origin_x_, cols_);
+    size_t cy = CellCoord(p.y - origin_y_, rows_);
+    size_t x0 = cx > 0 ? cx - 1 : 0;
+    size_t x1 = std::min(cx + 1, cols_ - 1);
+    size_t y1 = std::min(cy + 1, rows_ - 1);
+    // Cells of one grid row are contiguous in the index, so each row of the
+    // 3x3 block is one run of node ids.
+    for (size_t y = cy > 0 ? cy - 1 : 0; y <= y1; ++y) {
+      uint32_t end = cell_start_[y * cols_ + x1 + 1];
+      for (uint32_t k = cell_start_[y * cols_ + x0]; k < end; ++k) {
+        NodeId j = cell_nodes_[k];
+        if (SquaredDistance(p, positions_[j]) <= range_sq_ && j != i) fn(j);
+      }
+    }
+  }
+
+  /// Neighbor lists under the disc model (symmetric, excludes self). Every
+  /// list is sorted ascending and sized exactly (capacity == size); the
+  /// order-dependent tree builders (BuildFirstHeard, BuildMinHop) rely on it.
   std::vector<std::vector<NodeId>> BuildAdjacency() const;
 
   /// True when every node can reach the sink over the disc graph.
@@ -63,6 +104,30 @@ class Topology {
   std::vector<Position> positions_;
   std::vector<GroupId> rooms_;
   double comm_range_ = 10.0;
+
+  // Cell index over positions_ (see the class comment); built once by the
+  // constructor, since positions never change afterwards.
+  /// The largest squared distance whose square root rounds to at most
+  /// comm_range_: `SquaredDistance(a, b) <= range_sq_` decides exactly what
+  /// `Distance(a, b) <= comm_range_` does, without the square root.
+  double range_sq_ = 0.0;
+  double cell_side_ = 1.0;
+  double origin_x_ = 0.0;  ///< Smallest x over all nodes.
+  double origin_y_ = 0.0;  ///< Smallest y over all nodes.
+  size_t cols_ = 0;
+  size_t rows_ = 0;
+  /// cell_nodes_[cell_start_[c] .. cell_start_[c + 1]) are the nodes of cell
+  /// c = row * cols_ + col, ascending.
+  std::vector<uint32_t> cell_start_;
+  std::vector<NodeId> cell_nodes_;
+
+  void BuildCellIndex();
+
+  /// Grid coordinate of an offset from the origin along an axis of `cells`
+  /// cells. Offsets are never negative (the origin is the minimum).
+  size_t CellCoord(double offset, size_t cells) const {
+    return std::min(static_cast<size_t>(offset / cell_side_), cells - 1);
+  }
 };
 
 /// Parameters for the random topology generators.

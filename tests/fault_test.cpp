@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "fault/churn_engine.hpp"
 #include "fault/fault_plan.hpp"
@@ -82,7 +84,9 @@ void ExpectTreeInvariants(const sim::RoutingTree& tree, const sim::Topology& top
   // pre_order lists parents before children; post_order the reverse.
   std::set<NodeId> seen;
   for (NodeId v : tree.pre_order()) {
-    if (v != kSinkId) EXPECT_TRUE(seen.count(tree.parent(v))) << v;
+    if (v != kSinkId) {
+      EXPECT_TRUE(seen.count(tree.parent(v))) << v;
+    }
     seen.insert(v);
   }
   EXPECT_EQ(tree.post_order().size(), tree.pre_order().size());
@@ -455,6 +459,88 @@ TEST(TreeRepairTest, PartitionLeavesNodesDetachedUntilRecovery) {
   EXPECT_EQ(second.detached, 0u);
   EXPECT_TRUE(tree.attached(1));
   EXPECT_TRUE(tree.attached(2));
+}
+
+TEST(TreeRepairTest, RepairFromScratchEqualsClusterAwareBuild) {
+  // Repairing a tree with no edges at all re-attaches every node through
+  // the candidate-driven adoption rounds; BuildClusterAware runs the same
+  // rule frontier-driven. Both must pick identical parents and consume the
+  // rng identically, so the build and the repair rule can never drift.
+  sim::TopologyOptions opt;
+  opt.num_nodes = 150;
+  opt.num_rooms = 9;
+  util::Rng topo_rng(3);
+  sim::TopologyOptions dense = opt;
+  dense.num_nodes = 1000;
+  dense.num_rooms = 16;
+  std::vector<std::pair<std::string, sim::Topology>> beds;
+  beds.emplace_back("grid", GridTopology(100, 16));
+  beds.emplace_back("dense_grid", sim::MakeGrid(dense));
+  beds.emplace_back("uniform", sim::MakeUniformRandom(opt, topo_rng));
+  beds.emplace_back("clustered", sim::MakeClusteredRooms(opt, topo_rng));
+  beds.emplace_back("figure1", sim::MakeFigure1());
+  for (const auto& [name, topology] : beds) {
+    size_t n = topology.num_nodes();
+    for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      util::Rng build_rng(seed), repair_rng(seed);
+      sim::RoutingTree built = sim::RoutingTree::BuildClusterAware(topology, build_rng);
+      sim::RoutingTree repaired = sim::RoutingTree::FromParents(std::vector<NodeId>(n, kNoNode));
+      sim::RepairReport report = repaired.Repair(topology, [](NodeId) { return true; }, repair_rng);
+      EXPECT_EQ(report.detached, 0u) << name;
+      EXPECT_EQ(report.reattached.size(), n - 1) << name;
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(repaired.parent(v), built.parent(v)) << name << " seed " << seed << " node " << v;
+      }
+      EXPECT_EQ(repair_rng.NextU64(), build_rng.NextU64()) << name << " seed " << seed;
+    }
+  }
+}
+
+/// FNV-1a over a tree's parent vector (little-endian 32-bit ids).
+uint64_t ParentDigest(const sim::RoutingTree& tree) {
+  uint64_t h = 1469598103934665603ULL;
+  for (NodeId v = 0; v < tree.num_nodes(); ++v) {
+    NodeId p = tree.parent(v);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (p >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(TreeBuildGoldenTest, ClusterAwareParentsMatchPinnedDigests) {
+  // Parent vectors of n = 5000 cluster-aware trees, pinned from the
+  // all-pairs-era builder: a dense bed on the fixed 100 m field (~500
+  // neighbours per node, depth 8) and a constant-density bed with nodes 7 m
+  // apart (~20 neighbours, depth 47). Any change to the neighbour search or
+  // the adoption rounds that moves a single parent or rng draw fails here.
+  struct Pin {
+    double field;
+    uint64_t seed;
+    uint64_t digest;
+    uint64_t next_draw;
+    int depth;
+  };
+  const Pin pins[] = {
+      {100.0, 7, 0xb5344a20147d8c1cULL, 0x7825f0b62b2640d5ULL, 8},
+      {100.0, 90210, 0x08811576ab36b199ULL, 0x3a49077c875c05a8ULL, 8},
+      {7.0 * 71, 7, 0xe3695705385d48ebULL, 0x90cf464093894fdaULL, 47},
+      {7.0 * 71, 90210, 0xbcf16b48421ca386ULL, 0xf5a06150ef25c4e6ULL, 47},
+  };
+  for (const Pin& pin : pins) {
+    sim::TopologyOptions opt;
+    opt.num_nodes = 5000;
+    opt.num_rooms = 16;
+    opt.comm_range = 18.0;
+    opt.field_size = pin.field;
+    sim::Topology topology = sim::MakeGrid(opt);
+    util::Rng rng(pin.seed);
+    sim::RoutingTree tree = sim::RoutingTree::BuildClusterAware(topology, rng);
+    EXPECT_EQ(ParentDigest(tree), pin.digest) << "field " << pin.field << " seed " << pin.seed;
+    EXPECT_EQ(rng.NextU64(), pin.next_draw) << "field " << pin.field << " seed " << pin.seed;
+    EXPECT_EQ(tree.max_depth(), pin.depth) << "field " << pin.field << " seed " << pin.seed;
+  }
 }
 
 // -------------------------------------------------------------- ChurnEngine

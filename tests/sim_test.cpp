@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <set>
+#include <string>
 
 #include "sim/energy_model.hpp"
 #include "sim/event_queue.hpp"
@@ -116,6 +119,128 @@ TEST(TopologyTest, AdjacencyIsSymmetric) {
       EXPECT_NE(std::find(adj[v].begin(), adj[v].end(), static_cast<NodeId>(u)), adj[v].end());
     }
   }
+}
+
+/// All-pairs oracle: neighbour lists straight from the disc predicate.
+std::vector<std::vector<NodeId>> BruteForceAdjacency(const Topology& t) {
+  std::vector<std::vector<NodeId>> adj(t.num_nodes());
+  for (NodeId i = 0; i < t.num_nodes(); ++i) {
+    for (NodeId j = 0; j < t.num_nodes(); ++j) {
+      if (i != j && Distance(t.position(i), t.position(j)) <= t.comm_range()) {
+        adj[i].push_back(j);
+      }
+    }
+  }
+  return adj;
+}
+
+/// BuildAdjacency and ForEachNeighbor both agree with the all-pairs scan;
+/// adjacency lists are ascending and sized exactly.
+void ExpectNeighborSearchMatchesOracle(const Topology& t, const std::string& label) {
+  SCOPED_TRACE(label);
+  auto want = BruteForceAdjacency(t);
+  auto got = t.BuildAdjacency();
+  ASSERT_EQ(got.size(), want.size());
+  for (NodeId i = 0; i < t.num_nodes(); ++i) {
+    EXPECT_TRUE(std::is_sorted(got[i].begin(), got[i].end())) << "node " << i;
+    EXPECT_EQ(got[i].capacity(), got[i].size()) << "node " << i;
+    EXPECT_EQ(got[i], want[i]) << "node " << i;
+    std::vector<NodeId> visited;
+    t.ForEachNeighbor(i, [&](NodeId j) { visited.push_back(j); });
+    std::sort(visited.begin(), visited.end());  // duplicates would survive the sort
+    EXPECT_EQ(visited, want[i]) << "node " << i;
+  }
+  // Connectivity over the index agrees with connectivity over the oracle.
+  std::vector<uint8_t> seen(t.num_nodes(), 0);
+  std::vector<NodeId> stack;
+  if (t.num_nodes() > 0) {
+    stack.push_back(kSinkId);
+    seen[kSinkId] = 1;
+  }
+  size_t reached = 0;
+  while (!stack.empty()) {
+    NodeId u = stack.back();
+    stack.pop_back();
+    ++reached;
+    for (NodeId v : want[u]) {
+      if (!seen[v]) {
+        seen[v] = 1;
+        stack.push_back(v);
+      }
+    }
+  }
+  EXPECT_EQ(t.IsConnected(), t.num_nodes() > 0 && reached == t.num_nodes());
+}
+
+TEST(TopologyTest, NeighborSearchMatchesAllPairsOracle) {
+  TopologyOptions opt;
+  opt.num_nodes = 400;
+  opt.num_rooms = 16;
+  ExpectNeighborSearchMatchesOracle(MakeGrid(opt), "grid");
+  opt.num_nodes = 300;
+  util::Rng rng(17);
+  ExpectNeighborSearchMatchesOracle(MakeUniformRandom(opt, rng), "uniform");
+  ExpectNeighborSearchMatchesOracle(MakeClusteredRooms(opt, rng), "clustered");
+  ExpectNeighborSearchMatchesOracle(MakeFigure1(), "figure1");
+
+  // Coincident nodes: a stack of five at one point, two at another.
+  std::vector<Position> pos = {{5, 5}, {5, 5}, {5, 5}, {5, 5}, {5, 5}, {9, 5}, {9, 5}, {30, 30}};
+  ExpectNeighborSearchMatchesOracle(Topology(pos, {}, 4.0), "coincident");
+  // Range 0: only coincident nodes hear each other.
+  ExpectNeighborSearchMatchesOracle(Topology(pos, {}, 0.0), "range_zero");
+
+  // Negative coordinates, straddling and entirely below the origin.
+  std::vector<Position> negative;
+  for (int i = 0; i < 200; ++i) {
+    negative.push_back({rng.NextDouble(-50, 50), rng.NextDouble(-50, 50)});
+    negative.push_back({rng.NextDouble(-1000, -900), rng.NextDouble(-1000, -990)});
+  }
+  ExpectNeighborSearchMatchesOracle(Topology(negative, {}, 12.0), "negative");
+
+  // Pairs exactly at the range (3-4-5 triangles on an integer lattice), and
+  // a ring whose computed distances land within ulps either side of it.
+  std::vector<Position> exact;
+  for (int x = -10; x <= 10; ++x) {
+    for (int y = -10; y <= 10; ++y) exact.push_back({3.0 * x, 4.0 * y});
+  }
+  ExpectNeighborSearchMatchesOracle(Topology(exact, {}, 5.0), "exact_range");
+  std::vector<Position> ring = {{0.0, 0.0}};
+  for (int i = 0; i < 720; ++i) {
+    double angle = 2.0 * std::numbers::pi * i / 720.0;
+    ring.push_back({0.3 * std::cos(angle), 0.3 * std::sin(angle)});
+  }
+  ExpectNeighborSearchMatchesOracle(Topology(ring, {}, 0.3), "ring");
+  // Squared distances stepping one ulp at a time across range^2, so the
+  // last in-range value and the first out-of-range one both occur.
+  for (double range : {5.0, 0.3, 18.0, 1.0 / 3.0, 1e-3}) {
+    double ulp = std::nextafter(range * range, INFINITY) - range * range;
+    std::vector<Position> steps = {{0.0, 0.0}};
+    for (int k = 0; k <= 8; ++k) steps.push_back({range, std::sqrt(k * ulp)});
+    ExpectNeighborSearchMatchesOracle(Topology(steps, {}, range),
+                                      "ulp_steps_" + std::to_string(range));
+  }
+
+  // A single node has no neighbours and is trivially connected.
+  ExpectNeighborSearchMatchesOracle(Topology({{-3.0, 7.0}}, {}, 10.0), "single");
+
+  // A huge extent with a tiny range: the grid would need ~10^25 cells, so
+  // the cell-count cap must widen the cells instead.
+  std::vector<Position> sparse;
+  for (int i = 0; i < 100; ++i) {
+    Position p{rng.NextDouble(-1e9, 1e9), rng.NextDouble(-1e9, 1e9)};
+    sparse.push_back(p);
+    sparse.push_back({p.x + 4e-4, p.y - 3e-4});  // at the range
+    sparse.push_back({p.x + 1e-3, p.y});         // beyond it
+  }
+  ExpectNeighborSearchMatchesOracle(Topology(sparse, {}, 5e-4), "huge_extent");
+
+  // Near a cell boundary: with cells exactly one range wide, x = 1 - 2^-53
+  // floors into cell 0 and x = 2 into cell 2, yet the computed distance
+  // 2 - (1 - 2^-53) rounds to exactly 1.0, in range. The cells must be a
+  // little wider than the range for the 3x3 block to hold both.
+  double below_one = std::nextafter(1.0, 0.0);
+  std::vector<Position> boundary = {{0, 0}, {below_one, 0}, {2, 0}, {0, below_one}, {0, 2}};
+  ExpectNeighborSearchMatchesOracle(Topology(boundary, {}, 1.0), "cell_boundary");
 }
 
 TEST(TopologyTest, Figure1MatchesPaper) {
