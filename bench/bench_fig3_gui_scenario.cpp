@@ -1,12 +1,13 @@
 /// E2 — reproduces the Figure-3 GUI scenario: a TOP-3 query over a 14-node
-/// sensor network organized in 6 clusters, executed through the KSpot
-/// server with the System Panel's live savings accounting — the demo loop
-/// of Section IV-B, reduced to its metrics.
+/// sensor network organized in 6 clusters, served by a coordinator session
+/// with the System Panel's live savings accounting against TAG — the demo
+/// loop of Section IV-B, reduced to its metrics.
 #include <stdexcept>
 
 #include "bench_util.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
+#include "kspot/system_panel.hpp"
 #include "scenarios.hpp"
 
 namespace kspot::bench {
@@ -36,7 +37,7 @@ void RegisterFig3GuiScenario(runner::ScenarioRegistry& registry) {
   s.title = "Figure-3 GUI scenario: TOP-3 over 14 nodes in 6 clusters";
   s.notes =
       "The full demo loop: parsed SQL in, MINT execution, System-Panel savings vs\n"
-      "the TAG shadow run.";
+      "TAG over the same data.";
   s.make_trials = [](const runner::SweepOptions& opt) {
     const size_t epochs = opt.quick ? 10 : 30;
     const uint64_t seed = opt.seed != 0 ? opt.seed : 2009;
@@ -47,21 +48,28 @@ void RegisterFig3GuiScenario(runner::ScenarioRegistry& registry) {
     t.spec.algorithm = "MINT";
     t.spec.seed = seed;
     t.run = [=]() -> runner::MetricList {
-      system::Scenario scenario = MakeFig3Deployment(floor_seed);
-      system::KSpotServer::Options server_opt;
-      server_opt.epochs = epochs;
-      server_opt.seed = seed;
-      system::KSpotServer server(scenario, server_opt);
-      auto outcome = server.Execute(
-          "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min");
-      if (!outcome.ok()) {
-        throw std::runtime_error("query failed: " + outcome.status().message());
+      const char* sql =
+          "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min";
+      system::QueryCoordinator::Options opt;
+      opt.epochs = epochs;
+      opt.seed = seed;
+      system::QueryCoordinator coordinator(MakeFig3Deployment(floor_seed), opt);
+      auto admitted = coordinator.Admit(sql);
+      if (!admitted.ok()) {
+        throw std::runtime_error("query failed: " + admitted.status().message());
       }
-      const auto& result = outcome.value();
-      return {{"epochs", static_cast<double>(result.per_epoch.size())},
-              {"msg_savings_pct", result.panel.MessageSavingsPercent()},
-              {"byte_savings_pct", result.panel.ByteSavingsPercent()},
-              {"energy_savings_pct", result.panel.EnergySavingsPercent()}};
+      auto baseline = system::TagBaselineCost(coordinator.deployment(), opt, sql);
+      system::SystemPanel panel;
+      coordinator.Open();
+      for (size_t e = 0; e < epochs; ++e) {
+        panel.RecordKspotEpoch(coordinator.StepEpoch().value().epoch_cost);
+        panel.RecordBaselineEpoch(baseline.value()[e]);
+      }
+      auto report = coordinator.Close();
+      return {{"epochs", static_cast<double>(report.value().outcomes.at(0).per_epoch.size())},
+              {"msg_savings_pct", panel.MessageSavingsPercent()},
+              {"byte_savings_pct", panel.ByteSavingsPercent()},
+              {"energy_savings_pct", panel.EnergySavingsPercent()}};
     };
     trials.push_back(std::move(t));
     return trials;

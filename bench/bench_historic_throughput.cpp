@@ -15,9 +15,16 @@
 ///
 /// CI runs this quick with --threads 1 and bench/check_regression.py gates
 /// epochs_per_sec against bench/baseline/BENCH_E20_historic_throughput.json;
-/// a separate CI assert pins delta >= 5x scratch at W >= 64.
+/// a separate CI assert pins delta >= 5x scratch at W >= 64. Quick trials
+/// last milliseconds, so each is timed as the fastest of several identical
+/// seeded repetitions, and a delta row alternates its repetitions with its
+/// scratch twin's.
 #include <chrono>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/historic_stream.hpp"
@@ -90,6 +97,45 @@ HistoricStats RunHistoric(const HistoricConfig& cfg) {
   return stats;
 }
 
+/// Runs the configs round-robin, for at least `reps` rounds and at least
+/// `min_seconds` of wall clock, and returns each one's fastest run.
+/// Repetitions of one config are identical seeded simulations, so every
+/// simulated figure must agree; only the wall clock may differ. Alternating
+/// the configs puts their fastest runs in the same stretch of wall clock,
+/// so a host that slows down for a while slows them alike.
+std::vector<HistoricStats> FastestOf(const std::vector<HistoricConfig>& cfgs, size_t reps,
+                                     double min_seconds) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  auto elapsed = [&] { return std::chrono::duration<double>(Clock::now() - start).count(); };
+  std::vector<HistoricStats> best;
+  for (const HistoricConfig& cfg : cfgs) best.push_back(RunHistoric(cfg));
+  for (size_t r = 1; r < reps || elapsed() < min_seconds; ++r) {
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+      HistoricStats again = RunHistoric(cfgs[i]);
+      const HistoricStats& first = best[i];
+      if (again.msgs_per_epoch != first.msgs_per_epoch ||
+          again.bytes_per_epoch != first.bytes_per_epoch ||
+          again.flash_bytes_per_epoch != first.flash_bytes_per_epoch ||
+          again.flash_energy_mj_per_epoch != first.flash_energy_mj_per_epoch ||
+          again.suppression_ratio != first.suppression_ratio ||
+          again.recon_err_max != first.recon_err_max) {
+        throw std::runtime_error("identical seeded repetitions disagree");
+      }
+      if (again.epochs_per_sec > first.epochs_per_sec) best[i] = again;
+    }
+  }
+  return best;
+}
+
+/// A flash-off delta row and its scratch twin, timed together by whichever
+/// of the two trials runs first; the other reads its half.
+struct PairedTiming {
+  std::once_flag once;
+  HistoricStats delta;
+  HistoricStats scratch;
+};
+
 }  // namespace
 
 void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
@@ -114,9 +160,13 @@ void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
         opt.quick ? std::vector<size_t>{16, 64} : std::vector<size_t>{16, 64, 128};
     const uint64_t seed = opt.seed != 0 ? opt.seed : 201;
     const size_t epochs = opt.quick ? 96 : 256;
+    // Min-of-N timing: a single quick trial reads 4.4-8x delta/scratch
+    // speedups on identical runs. A shared host can run slow for hundreds
+    // of milliseconds, so quick repetitions also span a wall-clock window.
+    const size_t reps = opt.quick ? 15 : 1;
+    const double min_seconds = opt.quick ? 0.3 : 0.0;
 
-    auto run_metrics = [](const HistoricConfig& cfg) -> runner::MetricList {
-      HistoricStats st = RunHistoric(cfg);
+    auto metrics = [](const HistoricStats& st) -> runner::MetricList {
       return {{"epochs_per_sec", st.epochs_per_sec},
               {"wall_ms_p50", st.wall_ms.p50},
               {"wall_ms_p95", st.wall_ms.p95},
@@ -129,6 +179,18 @@ void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
     std::vector<runner::Trial> trials;
     for (const Point& point : points) {
       for (size_t window : windows) {
+        HistoricConfig delta;
+        delta.nodes = point.nodes;
+        delta.rooms = point.rooms;
+        delta.window = window;
+        delta.epochs = epochs;
+        delta.seed = seed;
+        HistoricConfig scratch = delta;
+        scratch.incremental = false;
+        // The CI assert compares these two rows, so their repetitions
+        // alternate: both rows' timings come from the same wall-clock
+        // stretch.
+        auto pair = std::make_shared<PairedTiming>();
         for (bool incremental : {true, false}) {
           for (bool flash : {false, true}) {
             // Flash archiving exercises the same eviction stream either
@@ -143,15 +205,22 @@ void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
                              {"w", std::to_string(window)},
                              {"mode", incremental ? "delta" : "scratch"},
                              {"flash", flash ? "on" : "off"}};
-            HistoricConfig cfg;
-            cfg.nodes = point.nodes;
-            cfg.rooms = point.rooms;
-            cfg.window = window;
-            cfg.epochs = epochs;
-            cfg.seed = seed;
-            cfg.incremental = incremental;
-            cfg.flash = flash;
-            t.run = [cfg, run_metrics]() -> runner::MetricList { return run_metrics(cfg); };
+            if (flash) {
+              HistoricConfig cfg = delta;
+              cfg.flash = true;
+              t.run = [cfg, reps, min_seconds, metrics] {
+                return metrics(FastestOf({cfg}, reps, min_seconds)[0]);
+              };
+            } else {
+              t.run = [delta, scratch, pair, incremental, reps, min_seconds, metrics] {
+                std::call_once(pair->once, [&] {
+                  std::vector<HistoricStats> st = FastestOf({delta, scratch}, reps, min_seconds);
+                  pair->delta = st[0];
+                  pair->scratch = st[1];
+                });
+                return metrics(incremental ? pair->delta : pair->scratch);
+              };
+            }
             trials.push_back(std::move(t));
           }
         }
@@ -173,8 +242,8 @@ void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
       cfg.seed = seed;
       cfg.suppression = true;
       cfg.suppression_eps = 2.0;
-      t.run = [cfg]() -> runner::MetricList {
-        HistoricStats on = RunHistoric(cfg);
+      t.run = [cfg, reps, min_seconds]() -> runner::MetricList {
+        HistoricStats on = FastestOf({cfg}, reps, min_seconds)[0];
         HistoricConfig base = cfg;
         base.suppression = false;
         HistoricStats off = RunHistoric(base);

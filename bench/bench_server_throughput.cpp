@@ -3,8 +3,9 @@
 /// The QueryCoordinator admits N concurrent queries against a single
 /// long-lived deployment (one tree, one battery ledger, one per-epoch data
 /// wave) and piggybacks compatible snapshot queries on one converge-cast.
-/// This scenario measures what that buys over the one-query-at-a-time
-/// KSpotServer::Execute serving model: aggregate queries/sec (wall clock,
+/// This scenario measures what that buys over serving one query at a time
+/// (one single-query session per query over the same deployment):
+/// aggregate queries/sec (wall clock,
 /// one "query" = one admitted query served for the full run) and per-query
 /// radio traffic, at 1/4/16/64 concurrent queries, churn on/off, for a
 /// fleet of identical snapshot dashboards ("snapshot") and a mixed
@@ -22,7 +23,6 @@
 #include "bench_util.hpp"
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 #include "scenarios.hpp"
 
 namespace kspot::bench {
@@ -104,24 +104,20 @@ runner::MetricList RunServerThroughput(const ServerThroughputConfig& cfg) {
   if (!report_or.ok()) std::abort();
   const system::CoordinatorReport& report = report_or.value();
 
-  // Sequential serving: the same queries, one KSpotServer::Execute each
-  // (no shadow baseline — this measures serving cost, not savings).
-  system::KSpotServer::Options sopt;
-  sopt.epochs = cfg.epochs;
-  sopt.seed = cfg.seed;
-  sopt.enable_churn = cfg.churn;
-  sopt.churn = churn_opt;
-  sopt.run_baseline = false;
-  system::KSpotServer server(floor, sopt);
+  // Sequential serving: the same queries, one single-query session each
+  // over the coordinator's deployment, under the same fault process.
+  auto serve_alone = [&](const std::string& sql) {
+    system::QueryCoordinator single(&coordinator.deployment(), copt);
+    if (!single.Admit(sql).ok()) std::abort();
+    util::StatusOr<system::CoordinatorReport> alone = single.Run();
+    if (!alone.ok()) std::abort();
+    return alone.value().total.messages;
+  };
   uint64_t seq_msgs = 0;
-  if (!server.Execute(queries.front()).ok()) std::abort();  // warm-up
+  serve_alone(queries.front());  // warm-up
   auto [seq_reps, seq_s] = timed_reps([&] {
     seq_msgs = 0;
-    for (const std::string& sql : queries) {
-      auto outcome = server.Execute(sql);
-      if (!outcome.ok()) std::abort();
-      seq_msgs += outcome.value().cost.messages;
-    }
+    for (const std::string& sql : queries) seq_msgs += serve_alone(sql);
   });
 
   double n = static_cast<double>(cfg.queries);
@@ -141,16 +137,13 @@ void RegisterServerThroughput(runner::ScenarioRegistry& registry) {
   runner::Scenario s;
   s.name = "server_throughput";
   s.id = "E17";
-  s.title = "multi-query server throughput: shared data plane vs sequential Execute";
+  s.title = "multi-query server throughput: shared data plane vs sequential sessions";
   s.notes =
       "coord_qps/seq_qps are wall-clock; run with --threads 1 when comparing\n"
       "numbers. speedup = coord_qps / seq_qps; operators counts distinct\n"
-      "operator instances after snapshot piggybacking.\n"
-      "Caveat for mix=mixed churn=on: KSpotServer::Execute applies churn only\n"
-      "to snapshot queries (SELECT/TJA legs run on a pristine tree), while\n"
-      "the coordinator's shared tree churns for every query class — the\n"
-      "sequential leg is today's serving model, not an identical fault\n"
-      "process. The snapshot rows compare identical processes.\n"
+      "operator instances after snapshot piggybacking. The sequential leg\n"
+      "serves each query in a single-query session over the same deployment\n"
+      "and fault process as the shared one.\n"
       "bench/check_regression.py gates CI on this scenario's coord_qps.";
   s.make_trials = [](const runner::SweepOptions& opt) {
     std::vector<runner::Trial> trials;

@@ -6,8 +6,9 @@
 #include <cstdio>
 
 #include "core/tja.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
+#include "kspot/system_panel.hpp"
 #include "sim/network.hpp"
 #include "storage/history_store.hpp"
 #include "util/fixed_point.hpp"
@@ -70,27 +71,31 @@ int main() {
 
   // Phase 3: the same audit through the declarative front end.
   std::printf("\n--- the same audit through SQL ---\n");
-  system::KSpotServer::Options sopt;
+  system::QueryCoordinator::Options sopt;
   sopt.seed = kSeed;
-  system::KSpotServer server(scenario, sopt);
+  system::QueryCoordinator coordinator(scenario, sopt);
   const char* sql =
       "SELECT TOP 5 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 240";
   std::printf("query> %s\n", sql);
-  auto outcome = server.Execute(sql);
-  if (!outcome.ok()) {
-    std::printf("error: %s\n", outcome.status().message().c_str());
+  auto admitted = coordinator.Admit(sql);
+  if (!admitted.ok()) {
+    std::printf("error: %s\n", admitted.status().message().c_str());
     return 1;
   }
+  // A one-shot historic query runs over the buffered windows when the
+  // session binds it, so opening and closing the session answers it.
+  coordinator.Open();
+  auto report = coordinator.Close();
+  const system::QueryOutcome& audit = report.value().outcomes.at(0);
+  auto baseline = system::TagBaselineCost(coordinator.deployment(), sopt, sql);
   std::printf("routed to: %s; answered with %zu candidates in %d round(s); bytes: %llu "
               "(baseline TAG-H: %llu)\n",
-              outcome.value().algorithm.c_str(), outcome.value().historic.lsink_size,
-              outcome.value().historic.rounds,
-              static_cast<unsigned long long>(outcome.value().cost.payload_bytes),
-              static_cast<unsigned long long>(outcome.value().baseline_cost.payload_bytes));
-  for (size_t i = 0; i < outcome.value().historic.items.size(); ++i) {
-    std::printf("  %zu. window slot %3d  avg %.2f\n", i + 1,
-                outcome.value().historic.items[i].group,
-                outcome.value().historic.items[i].value);
+              audit.algorithm.c_str(), audit.historic.lsink_size, audit.historic.rounds,
+              static_cast<unsigned long long>(report.value().total.payload_bytes),
+              static_cast<unsigned long long>(baseline.value().at(0).payload_bytes));
+  for (size_t i = 0; i < audit.historic.items.size(); ++i) {
+    std::printf("  %zu. window slot %3d  avg %.2f\n", i + 1, audit.historic.items[i].group,
+                audit.historic.items[i].value);
   }
   return 0;
 }

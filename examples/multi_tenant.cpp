@@ -15,7 +15,6 @@
 
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 
 using namespace kspot;
 
@@ -73,16 +72,14 @@ int main() {
     std::printf("  epoch %d  avg=%.2f\n", item.group, item.value);
   }
 
-  // What would the same six queries cost served one at a time?
-  system::KSpotServer::Options server_opt;
-  server_opt.epochs = opt.epochs;
-  server_opt.seed = opt.seed;
-  server_opt.run_baseline = false;
-  system::KSpotServer server(floor, server_opt);
+  // What would the same six queries cost served one at a time? One
+  // single-query session per query over the same deployment.
   uint64_t sequential_msgs = 0;
   for (const char* sql : queries) {
-    auto outcome = server.Execute(sql);
-    if (outcome.ok()) sequential_msgs += outcome.value().cost.messages;
+    system::QueryCoordinator single(&coordinator.deployment(), opt);
+    (void)single.Admit(sql);
+    auto single_report = single.Run();
+    if (single_report.ok()) sequential_msgs += single_report.value().total.messages;
   }
   std::printf("\nshared data plane: %llu msgs   sequential per-query serving: %llu msgs "
               "(%.1fx)\n",

@@ -200,11 +200,6 @@ QueryCoordinator::~QueryCoordinator() = default;
 QueryCoordinator::QueryCoordinator(QueryCoordinator&&) noexcept = default;
 QueryCoordinator& QueryCoordinator::operator=(QueryCoordinator&&) noexcept = default;
 
-std::unique_ptr<data::DataGenerator> QueryCoordinator::MakeGenerator(uint64_t seed) const {
-  if (options_.make_generator) return options_.make_generator(deployment_->scenario, seed);
-  return deployment_->DefaultGenerator(seed);
-}
-
 sim::NetworkOptions QueryCoordinator::NetOptions() const { return RadioOptionsFrom(options_); }
 
 util::StatusOr<QueryId> QueryCoordinator::Admit(const std::string& sql) {
@@ -292,7 +287,6 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
   const Admitted& entry = admitted_[admitted_index];
   OperatorPlan plan = PlanFor(entry.parsed, entry.query_class, deployment_->scenario);
   std::string key = CompatKey(plan);
-  if (!options_.share_operators) key += "#" + std::to_string(entry.id);
 
   Session::Served served;
   served.admitted_index = admitted_index;
@@ -330,7 +324,7 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       group.algorithm = group.algo->name();
       break;
     case OpKind::kHorizontal:
-      group.own_inner = MakeGenerator(options_.seed);
+      group.own_inner = RunGenerator(*deployment_, options_);
       group.window_gen = std::make_unique<data::WindowAggregateGenerator>(
           group.own_inner.get(), n, plan.window, plan.spec.agg);
       group.algo =
@@ -359,20 +353,8 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       // One-shot historic: runs over already-buffered windows on the same
       // network — its traffic drains the same batteries the continuous
       // queries live off. Mid-session admits run theirs at admission.
-      auto gen = MakeGenerator(options_.seed);
-      std::vector<storage::HistoryStore> stores;
-      stores.reserve(n);
-      const data::ModalityInfo& info = data::GetModalityInfo(deployment_->scenario.modality);
-      for (sim::NodeId id = 0; id < n; ++id) {
-        stores.emplace_back(plan.window, /*archive_to_flash=*/false, info.min_value,
-                            info.max_value);
-      }
-      for (size_t t = 0; t < plan.window; ++t) {
-        for (sim::NodeId id = 1; id < n; ++id) {
-          stores[id].Append(static_cast<sim::Epoch>(t),
-                            gen->Value(id, static_cast<sim::Epoch>(t)));
-        }
-      }
+      std::vector<storage::HistoryStore> stores =
+          BufferedWindows(*deployment_, options_, plan.window);
       storage::StoreHistorySource source(&stores);
       core::Tja tja(&session.net, &source, plan.historic);
       sim::TrafficCounters before = session.net.total();
@@ -403,11 +385,10 @@ util::Status QueryCoordinator::Open() {
   // ------------------------------------------------------- shared data plane
   // One tree copy per session (churn repairs it in place; the deployment
   // stays pristine), one network, one generator: the per-epoch data wave
-  // every epoch-driven operator reads. Seed derivations match KSpotServer's
-  // snapshot path exactly, so a lone snapshot query reproduces Execute().
+  // every epoch-driven operator reads.
   session_ =
       std::make_unique<Session>(*deployment_, NetOptions(), options_.seed ^ options_.net_salt);
-  session_->shared_gen = MakeGenerator(options_.seed);
+  session_->shared_gen = RunGenerator(*deployment_, options_);
 
   // Parallel epoch execution: cut the tree at its cluster heads and run the
   // subtree lanes concurrently (merged deterministically every epoch).
@@ -418,14 +399,8 @@ util::Status QueryCoordinator::Open() {
   }
 
   if (options_.enable_churn) {
-    fault::FaultPlanOptions churn_opt = options_.churn;
-    if (churn_opt.horizon == 0 || churn_opt.horizon > options_.epochs) {
-      churn_opt.horizon = static_cast<sim::Epoch>(options_.epochs);
-    }
-    fault::FaultPlan plan =
-        fault::FaultPlan::Generate(deployment_->topology, churn_opt, options_.seed ^ 0xFA11);
-    session_->churn =
-        std::make_unique<fault::ChurnEngine>(&session_->net, &session_->tree, std::move(plan));
+    session_->churn = std::make_unique<fault::ChurnEngine>(
+        &session_->net, &session_->tree, RunFaultPlan(*deployment_, options_));
   }
 
   // Bind every admitted query: group planning in admission order, exactly

@@ -15,11 +15,6 @@ Deployment::Deployment(Scenario scenario_in, uint64_t seed)
   } else {
     tree = sim::RoutingTree::BuildClusterAware(topology, tree_rng);
   }
-  const data::ModalityInfo& info = data::GetModalityInfo(scenario.modality);
-  clients.reserve(topology.num_nodes());
-  for (sim::NodeId id = 0; id < topology.num_nodes(); ++id) {
-    clients.emplace_back(id, kDefaultWindow, info);
-  }
 }
 
 std::unique_ptr<data::DataGenerator> Deployment::DefaultGenerator(uint64_t seed) const {
@@ -34,6 +29,41 @@ std::unique_ptr<data::DataGenerator> Deployment::DefaultGenerator(uint64_t seed)
       std::move(rooms), scenario.modality, /*room_sigma=*/span * 0.02,
       /*noise_sigma=*/span * 0.01, util::Rng(seed), /*global_sigma=*/span * 0.03,
       /*quantize_step=*/span * 0.01);
+}
+
+std::unique_ptr<data::DataGenerator> RunGenerator(const Deployment& deployment,
+                                                  const DeploymentConfig& config) {
+  if (config.make_generator) return config.make_generator(deployment.scenario, config.seed);
+  return deployment.DefaultGenerator(config.seed);
+}
+
+fault::FaultPlan RunFaultPlan(const Deployment& deployment, const DeploymentConfig& config) {
+  fault::FaultPlanOptions churn = config.churn;
+  // horizon 0 = auto: the plan covers the whole run. An explicit horizon is
+  // honored, clamped to the run length (later events could never fire).
+  if (churn.horizon == 0 || churn.horizon > config.epochs) {
+    churn.horizon = static_cast<sim::Epoch>(config.epochs);
+  }
+  return fault::FaultPlan::Generate(deployment.topology, churn, config.seed ^ 0xFA11);
+}
+
+std::vector<storage::HistoryStore> BufferedWindows(const Deployment& deployment,
+                                                   const DeploymentConfig& config,
+                                                   size_t window) {
+  const size_t n = deployment.topology.num_nodes();
+  const data::ModalityInfo& info = data::GetModalityInfo(deployment.scenario.modality);
+  std::vector<storage::HistoryStore> stores;
+  stores.reserve(n);
+  for (sim::NodeId id = 0; id < n; ++id) {
+    stores.emplace_back(window, /*archive_to_flash=*/false, info.min_value, info.max_value);
+  }
+  std::unique_ptr<data::DataGenerator> gen = RunGenerator(deployment, config);
+  for (size_t t = 0; t < window; ++t) {
+    for (sim::NodeId id = 1; id < n; ++id) {
+      stores[id].Append(static_cast<sim::Epoch>(t), gen->Value(id, static_cast<sim::Epoch>(t)));
+    }
+  }
+  return stores;
 }
 
 core::QuerySpec SpecFromQuery(const query::ParsedQuery& parsed, const Scenario& scenario) {

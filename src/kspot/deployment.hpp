@@ -7,12 +7,12 @@
 #include "core/query_spec.hpp"
 #include "data/generators.hpp"
 #include "fault/fault_plan.hpp"
-#include "kspot/node_runtime.hpp"
 #include "kspot/scenario_config.hpp"
 #include "query/ast.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
 #include "sim/topology.hpp"
+#include "storage/history_store.hpp"
 
 namespace kspot::system {
 
@@ -43,11 +43,10 @@ struct HistoricPathConfig {
   double suppression_eps = 0.5;
 };
 
-/// The deployment-wide execution knobs every serving API shares — ONE struct
-/// so a knob added for one server cannot silently miss the other.
-/// KSpotServer::Options and QueryCoordinator::Options both derive from this;
-/// KSpotServer::Execute delegates to a single-query coordinator session, so
-/// these knobs reach the data plane through a single execution path.
+/// The deployment-wide execution knobs: QueryCoordinator::Options derives
+/// from this, and TagBaselineCost (kspot/system_panel.hpp) reads the same
+/// struct, so the System Panel's TAG baseline runs under exactly the
+/// radio, battery, churn and reliability settings the served queries do.
 struct DeploymentConfig {
   /// Epochs to drive continuous queries for.
   size_t epochs = 30;
@@ -62,9 +61,9 @@ struct DeploymentConfig {
   double battery_j = 0.0;
   /// Fault & churn injection over the routing tree: a FaultPlan drawn from
   /// `churn` and the run's seed, one repair per epoch, every operator
-  /// notified. `churn.horizon` 0 = the whole run. (KSpotServer applies churn
-  /// to continuous snapshot queries only; historic one-shot queries run over
-  /// already-buffered windows and ignore it.)
+  /// notified. `churn.horizon` 0 = the whole run. One-shot vertical historic
+  /// queries run over already-buffered windows at bind time, before any
+  /// churn epoch.
   bool enable_churn = false;
   fault::FaultPlanOptions churn;
   /// Data generator factory; defaults to the deployment's room-correlated
@@ -97,31 +96,29 @@ struct DeploymentConfig {
 };
 
 /// One deployed sensor network as the base station administers it: the
-/// scenario, the simulator topology built from it, the routing tree grown
-/// over the deployment, and the per-node client runtimes.
+/// scenario, the simulator topology built from it, and the routing tree
+/// grown over the deployment.
 ///
-/// This is the long-lived state every query server shares. KSpotServer owns
-/// one and runs a single query at a time against it; QueryCoordinator owns
-/// one and drives many concurrent queries over the same tree, batteries and
-/// per-epoch data wave. The topology and tree here stay pristine — runs that
-/// mutate the tree (churn) repair their own copies and the deployment
-/// remains the per-run starting point.
+/// This is the long-lived state query sessions share: a QueryCoordinator
+/// owns one (or serves an external one) and drives many concurrent queries
+/// over the same tree, batteries and per-epoch data wave, and several
+/// coordinators may serve one Deployment in turn. The topology and tree
+/// here stay pristine — runs that mutate the tree (churn) repair their own
+/// copies and the deployment remains the per-run starting point.
 struct Deployment {
-  /// Window depth the clients buffer, and the default window of historic
-  /// queries that name none — one constant so a windowless historic query
-  /// can never read deeper than the clients buffer.
+  /// Window depth of historic queries that name none (no WITH HISTORY
+  /// length).
   static constexpr size_t kDefaultWindow = 32;
 
   Scenario scenario;
   sim::Topology topology;
   sim::RoutingTree tree;
-  std::vector<NodeRuntime> clients;
 
   /// Builds the deployment for `scenario`. The routing tree derives from
-  /// `seed` exactly as the server always built it: the Figure-1 scenario
-  /// pins the paper's tree, every other scenario grows the cluster-aware
-  /// first-heard-from tree (rooms form contiguous subtrees and close low —
-  /// what MINT's view hierarchy exploits).
+  /// `seed`: the Figure-1 scenario pins the paper's tree, every other
+  /// scenario grows the cluster-aware first-heard-from tree (rooms form
+  /// contiguous subtrees and close low — what MINT's view hierarchy
+  /// exploits).
   Deployment(Scenario scenario, uint64_t seed);
 
   /// The default data source: a room-correlated walk matching the
@@ -132,6 +129,25 @@ struct Deployment {
   std::unique_ptr<data::DataGenerator> DefaultGenerator(uint64_t seed) const;
 };
 
+/// The run's data source: `config.make_generator` when set, else the
+/// deployment's default walk, seeded with `config.seed`. Every call replays
+/// the identical per-epoch data wave.
+std::unique_ptr<data::DataGenerator> RunGenerator(const Deployment& deployment,
+                                                  const DeploymentConfig& config);
+
+/// The run's fault plan (used when `config.enable_churn`): drawn from
+/// `config.churn` and the seed, with the horizon resolved to the run length.
+/// Crashes and degradations are exogenous, so every network driven over
+/// this plan sees the same fault process.
+fault::FaultPlan RunFaultPlan(const Deployment& deployment, const DeploymentConfig& config);
+
+/// Per-node stores holding the run's first `window` epochs of readings
+/// (the sink's store stays empty): the already-buffered windows a one-shot
+/// vertical historic query reads.
+std::vector<storage::HistoryStore> BufferedWindows(const Deployment& deployment,
+                                                   const DeploymentConfig& config,
+                                                   size_t window);
+
 /// Maps a parsed snapshot/grouped query onto the algorithm-facing QuerySpec
 /// under `scenario`'s modality. Basic GROUP-BY selects (no TOP clause)
 /// report every group, modeled as K = all.
@@ -139,8 +155,8 @@ core::QuerySpec SpecFromQuery(const query::ParsedQuery& parsed, const Scenario& 
 
 /// Maps the shared DeploymentConfig radio knobs onto the simulator's
 /// NetworkOptions — ONE mapping, so a knob added to the serving options
-/// cannot reach one server's network but not the other's (the
-/// coordinator==Execute bit-exactness depends on identical NetworkOptions).
+/// reaches the served queries' network and the TAG baseline's network
+/// alike.
 inline sim::NetworkOptions RadioOptionsFrom(const DeploymentConfig& options) {
   sim::NetworkOptions opts;
   opts.loss_prob = options.loss_prob;

@@ -1,10 +1,118 @@
 #include "kspot/system_panel.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 
+#include "agg/aggregate.hpp"
+#include "core/centralized.hpp"
+#include "core/tag.hpp"
+#include "data/windowed.hpp"
+#include "fault/churn_engine.hpp"
+#include "kspot/coordinator.hpp"
+#include "query/parser.hpp"
 #include "util/string_util.hpp"
 
 namespace kspot::system {
+
+namespace {
+
+/// The network a baseline drives outside a session, seeded like a
+/// session's shared plane.
+sim::Network BaselineNetwork(const Deployment& deployment, const DeploymentConfig& config,
+                             const sim::RoutingTree* tree) {
+  return sim::Network(&deployment.topology, tree, RadioOptionsFrom(config),
+                      util::Rng(config.seed ^ QueryCoordinator::Options::net_salt));
+}
+
+/// TAG collecting every node's whole window at the sink: one entry.
+std::vector<sim::TrafficCounters> VerticalTagCost(const Deployment& deployment,
+                                                  const DeploymentConfig& config,
+                                                  const query::ParsedQuery& parsed) {
+  std::vector<storage::HistoryStore> stores =
+      BufferedWindows(deployment, config, static_cast<size_t>(parsed.history));
+  storage::StoreHistorySource source(&stores);
+  core::HistoricOptions opts;
+  opts.k = std::max(1, parsed.top_k);
+  const query::SelectItem* agg_item = parsed.FirstAggregate();
+  if (agg_item != nullptr) agg::ParseAggKind(agg_item->aggregate, &opts.agg);
+  sim::Network net = BaselineNetwork(deployment, config, &deployment.tree);
+  core::TagHistoric tag(&net, &source, opts);
+  tag.Run();
+  return {net.total()};
+}
+
+/// TAG over every node's window aggregate, epoch by epoch.
+std::vector<sim::TrafficCounters> HorizontalTagCost(const Deployment& deployment,
+                                                    const DeploymentConfig& config,
+                                                    const query::ParsedQuery& parsed) {
+  core::QuerySpec spec = SpecFromQuery(parsed, deployment.scenario);
+  std::unique_ptr<data::DataGenerator> inner = RunGenerator(deployment, config);
+  data::WindowAggregateGenerator gen(inner.get(), deployment.topology.num_nodes(),
+                                     static_cast<size_t>(parsed.history), spec.agg);
+  sim::RoutingTree tree = deployment.tree;
+  sim::Network net = BaselineNetwork(deployment, config, &tree);
+  core::TagTopK tag(&net, &gen, spec);
+  std::unique_ptr<fault::ChurnEngine> churn;
+  if (config.enable_churn) {
+    churn = std::make_unique<fault::ChurnEngine>(&net, &tree, RunFaultPlan(deployment, config));
+  }
+  std::vector<sim::TrafficCounters> cost;
+  cost.reserve(config.epochs);
+  for (size_t e = 0; e < config.epochs; ++e) {
+    auto epoch = static_cast<sim::Epoch>(e);
+    sim::TrafficCounters before = net.total();
+    if (config.reliability.enabled) net.BeginReliabilityEpoch();
+    if (churn) {
+      fault::ChurnReport report = churn->BeginEpoch(epoch);
+      if (report.topology_changed) tag.OnTopologyChanged(report.delta);
+    }
+    tag.RunEpoch(epoch);
+    cost.push_back(net.total().Since(before));
+  }
+  return cost;
+}
+
+}  // namespace
+
+util::StatusOr<std::vector<sim::TrafficCounters>> TagBaselineCost(
+    const Deployment& deployment, const DeploymentConfig& config, const std::string& sql) {
+  util::StatusOr<query::ParsedQuery> parsed_or = query::Parse(sql);
+  if (!parsed_or.ok()) return parsed_or.status();
+  query::ParsedQuery parsed = std::move(parsed_or).value();
+  util::Status valid = query::Validate(parsed);
+  if (!valid.ok()) return valid;
+  switch (query::Classify(parsed)) {
+    case query::QueryClass::kHistoricVertical:
+      return VerticalTagCost(deployment, config, parsed);
+    case query::QueryClass::kHistoricHorizontal:
+      return HorizontalTagCost(deployment, config, parsed);
+    case query::QueryClass::kSnapshotTopK:
+    case query::QueryClass::kBasicSelect:
+      break;
+  }
+  std::string twin = sql;
+  if (parsed.top_k > 0) {
+    parsed.top_k = 0;
+    twin = parsed.ToSql();
+  }
+  QueryCoordinator::Options options;
+  static_cast<DeploymentConfig&>(options) = config;
+  QueryCoordinator session(&deployment, options);
+  util::StatusOr<QueryId> admitted = session.Admit(twin);
+  if (!admitted.ok()) return admitted.status();
+  util::Status opened = session.Open();
+  if (!opened.ok()) return opened;
+  std::vector<sim::TrafficCounters> cost;
+  cost.reserve(config.epochs);
+  for (size_t e = 0; e < config.epochs; ++e) {
+    util::StatusOr<EpochUpdate> step = session.StepEpoch();
+    if (!step.ok()) return step.status();
+    cost.push_back(step.value().epoch_cost);
+  }
+  (void)session.Close();
+  return cost;
+}
 
 void SystemPanel::RecordKspotEpoch(const sim::TrafficCounters& epoch_delta) {
   kspot_.Add(epoch_delta);

@@ -1,17 +1,22 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/cost_report.hpp"
+#include "kspot/deployment.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
+#include "util/status.hpp"
 
 namespace kspot::system {
 
 /// The System Panel (Sections I/IV-B): the live counter display that
 /// "continuously projects the savings in energy and messages that our system
 /// yields". It tracks the KSpot network's traffic against a baseline (TAG)
-/// run over the same data and reports the savings percentages.
+/// run over the same data and reports the savings percentages. Feed it
+/// EpochUpdate::epoch_cost from a coordinator session and the entries of
+/// TagBaselineCost below.
 class SystemPanel {
  public:
   SystemPanel() = default;
@@ -77,5 +82,22 @@ class SystemPanel {
   obs::MetricsSnapshot metrics_;
   size_t epochs_ = 0;
 };
+
+/// The System Panel's baseline: what plain TAG costs to answer `sql` over
+/// `deployment` under `config` — the same data wave, radio, batteries,
+/// fault plan and reliability layer a coordinator session with `config`
+/// serves the query under. One entry per epoch (`config.epochs`), or a
+/// single entry for a vertical historic query (one centralized collection
+/// of every node's buffered window). Syntax and semantic errors come back
+/// as Status.
+///
+/// - Snapshot top-k and basic selects run the query's TOP-less twin in a
+///   single-query session over `deployment`: TAG ships every group, so its
+///   traffic does not depend on K. An ungrouped select is its own twin.
+/// - Horizontal historic queries run TAG over the per-node window
+///   aggregates, on a network seeded, refilled and churned the way a
+///   session's is.
+util::StatusOr<std::vector<sim::TrafficCounters>> TagBaselineCost(
+    const Deployment& deployment, const DeploymentConfig& config, const std::string& sql);
 
 }  // namespace kspot::system

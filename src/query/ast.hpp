@@ -58,7 +58,7 @@ struct ParsedQuery {
 
   /// Renders the query back to canonical SQL text. Parsing the result yields
   /// an equivalent ParsedQuery (round-trip property, enforced by tests);
-  /// used by the server when re-disseminating queries to the clients.
+  /// TagBaselineCost uses it to serve a query's TOP-less twin.
   std::string ToSql() const;
 };
 

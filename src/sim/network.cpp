@@ -58,7 +58,7 @@ Network::Network(const Network& other)
       tree_(other.tree_),
       options_(other.options_),
       rng_(other.rng_),
-      events_(other.events_),
+      clock_(other.clock_),
       state_(other.state_),
       phase_id_(other.phase_id_),
       phase_name_(other.phase_name_) {
@@ -72,7 +72,7 @@ Network& Network::operator=(const Network& other) {
   tree_ = other.tree_;
   options_ = other.options_;
   rng_ = other.rng_;
-  events_ = other.events_;
+  clock_ = other.clock_;
   state_ = other.state_;
   phase_id_ = other.phase_id_;
   phase_name_ = other.phase_name_;
@@ -301,7 +301,7 @@ bool Network::UnicastToParent(NodeId child, size_t payload_bytes) {
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
   // backoff_us is zero unless the reliability layer waited out retries.
-  events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes) +
+  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes) +
                     delta.backoff_us);
   return delivered;
 }
@@ -320,7 +320,7 @@ bool Network::LaneUnicastToParent(NodeId child, size_t payload_bytes, LaneSendEf
 void Network::CommitLaneSend(const LaneSendEffect& fx) {
   state_.total.Add(fx.delta);
   state_.by_phase[phase_id_].Add(fx.delta);
-  events_.AdvanceTo(events_.now() + fx.airtime);
+  clock_.AdvanceTo(clock_.now() + fx.airtime);
 }
 
 bool Network::UnicastUpPath(NodeId from, size_t payload_bytes) {
@@ -369,7 +369,7 @@ bool Network::UnicastDownPath(NodeId target, size_t payload_bytes) {
     }
     state_.total.Add(delta);
     state_.by_phase[phase_id_].Add(delta);
-    events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes) +
+    clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes) +
                       delta.backoff_us);
     if (!delivered) return false;
   }
@@ -400,7 +400,7 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
   }
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
-  events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
   return delivered;
 }
 
@@ -424,7 +424,7 @@ void Network::DeliverControl(NodeId from, NodeId to, size_t payload_bytes) {
   delta.rx_energy_j += rx_j;
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
-  events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
 }
 
 }  // namespace kspot::sim

@@ -6,8 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/clock.hpp"
 #include "sim/energy_model.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/radio_model.hpp"
 #include "sim/routing_tree.hpp"
 #include "sim/shard_state.hpp"
@@ -202,8 +202,8 @@ class Network {
   void ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
                        double energy_j);
 
-  /// The event queue that sequences transmissions.
-  EventQueue& events() { return events_; }
+  /// The simulated clock sends and waves advance.
+  SimClock& clock() { return clock_; }
   /// Topology under simulation.
   const Topology& topology() const { return *topology_; }
   /// Routing tree under simulation.
@@ -259,7 +259,7 @@ class Network {
   const RoutingTree* tree_;
   NetworkOptions options_;
   util::Rng rng_;
-  EventQueue events_;
+  SimClock clock_;
   /// Every mutable per-epoch ledger, owned as one value (see ShardState).
   ShardState state_;
   PhaseId phase_id_ = 0;

@@ -85,7 +85,7 @@ class UpWave {
       }
     }
     std::optional<Msg> sink_result;
-    TimeUs base = net.events().now();
+    TimeUs base = net.clock().now();
     const size_t depth_cap = WaveDepthCap(net);
     if (depth_cap > 0) net.ApplyWaveDepthBudget(static_cast<int>(depth_cap));
     for (NodeId node : tree.wave_order()) {
@@ -115,7 +115,7 @@ class UpWave {
     // belongs to the sink (depth 0, last post-order position). A deadline
     // shortens the wave to its slot budget.
     if (!tree.post_order().empty()) {
-      net.events().AdvanceTo(base + WaveSlots(tree, depth_cap) * kSlotUs +
+      net.clock().AdvanceTo(base + WaveSlots(tree, depth_cap) * kSlotUs +
                              static_cast<TimeUs>(tree.post_order().size() - 1));
     }
     return sink_result;
@@ -171,7 +171,7 @@ class UpWave {
     const ShardPlan& plan = rt.plan();
     std::vector<LaneSendEffect>& captures = rt.captures();
     if (ws.root_out.size() != tree.num_nodes()) ws.root_out.assign(tree.num_nodes(), std::nullopt);
-    TimeUs base = net.events().now();
+    TimeUs base = net.clock().now();
     // Deadline accounting runs serially before the lanes launch; lanes only
     // read the cap (epoch_degraded is never written from a lane).
     const size_t depth_cap = WaveDepthCap(net);
@@ -228,7 +228,7 @@ class UpWave {
       }
     }
     if (!tree.post_order().empty()) {
-      net.events().AdvanceTo(base + WaveSlots(tree, depth_cap) * kSlotUs +
+      net.clock().AdvanceTo(base + WaveSlots(tree, depth_cap) * kSlotUs +
                              static_cast<TimeUs>(tree.post_order().size() - 1));
     }
     return sink_result;
@@ -247,7 +247,7 @@ class UpWave {
 /// — reception slot, then scheduling sequence — so the replay is bit-exact
 /// for arbitrary per-subtree message sizes (different broadcast airtimes
 /// legitimately reorder cousins): same BroadcastToChildren sequence (same
-/// loss-rng consumption), same clock trajectory (EventQueue::JumpTo
+/// loss-rng consumption), same clock trajectory (SimClock::JumpTo
 /// reproduces the executing-event clock), without a std::function allocation
 /// and a Msg copy per delivered child.
 template <typename Msg>
@@ -265,7 +265,7 @@ class DownWave {
         obs::TracingOn() ? obs::GlobalTracer().NameIdForPhase(net.phase_id(), net.phase()) : 0);
     struct Pending {
       TimeUs at;      ///< The slot the reception event would have executed in.
-      uint64_t seq;   ///< Scheduling order (tie-break, like EventQueue).
+      uint64_t seq;   ///< Scheduling order (tie-break, as the event queue had).
       NodeId node;
       uint32_t msg;   ///< Index into msgs (siblings share the parent's forward).
     };
@@ -284,7 +284,7 @@ class DownWave {
     const ReliabilityOptions& rel = net.options().reliability;
     const TimeUs deadline =
         rel.enabled && rel.wave_depth_budget > 0
-            ? net.events().now() + static_cast<TimeUs>(rel.wave_depth_budget) * kSlotUs
+            ? net.clock().now() + static_cast<TimeUs>(rel.wave_depth_budget) * kSlotUs
             : 0;
     // The sink's visit runs inline (the old scheme never scheduled it), with
     // a null incoming message.
@@ -299,7 +299,7 @@ class DownWave {
           size_t bytes = wire_bytes(*forward);
           std::vector<NodeId> delivered = net.BroadcastToChildren(node, bytes);
           if (!delivered.empty()) {
-            TimeUs at = net.events().now() + kSlotUs;
+            TimeUs at = net.clock().now() + kSlotUs;
             auto msg_index = static_cast<uint32_t>(msgs.size());
             msgs.push_back(std::move(*forward));
             for (NodeId child : delivered) frontier.push({at, next_seq++, child, msg_index});
@@ -317,7 +317,7 @@ class DownWave {
       }
       // Executing an event pins the clock to the event's own time, even when
       // a sibling's broadcast already advanced past it.
-      net.events().JumpTo(next.at);
+      net.clock().JumpTo(next.at);
       node = next.node;
       incoming = next.msg;
     }

@@ -6,7 +6,6 @@
 
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 
 namespace kspot::system {
 namespace {
@@ -94,49 +93,6 @@ TEST(CoordinatorTest, AdmitValidatesAndCancelWithdraws) {
   EXPECT_EQ(report.value().outcomes[0].id, b.value());
 }
 
-TEST(CoordinatorTest, SingleSnapshotQueryMatchesServerExecute) {
-  // The coordinator's shared data plane derives generator, network RNG and
-  // fault plan exactly as KSpotServer's snapshot path does, so one admitted
-  // snapshot query is bit-identical to Execute() — with and without churn.
-  for (bool with_churn : {false, true}) {
-    SCOPED_TRACE(with_churn ? "churn" : "clean");
-    KSpotServer::Options server_opt;
-    server_opt.epochs = 20;
-    server_opt.seed = 42;
-    server_opt.loss_prob = 0.05;
-    server_opt.max_retries = 1;
-    server_opt.enable_churn = with_churn;
-    server_opt.churn.crash_prob = 0.01;
-    server_opt.churn.mean_downtime = 5;
-    server_opt.run_baseline = false;
-    KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), server_opt);
-    auto server_outcome = server.Execute(kSnapshotSql);
-    ASSERT_TRUE(server_outcome.ok());
-
-    QueryCoordinator::Options opt = SmallRun(20, 42);
-    opt.loss_prob = 0.05;
-    opt.max_retries = 1;
-    opt.enable_churn = with_churn;
-    opt.churn.crash_prob = 0.01;
-    opt.churn.mean_downtime = 5;
-    QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
-    ASSERT_TRUE(coordinator.Admit(kSnapshotSql).ok());
-    auto report = coordinator.Run();
-    ASSERT_TRUE(report.ok());
-    ASSERT_EQ(report.value().outcomes.size(), 1u);
-    const QueryOutcome& outcome = report.value().outcomes[0];
-    EXPECT_EQ(outcome.algorithm, "MINT");
-    EXPECT_EQ(EpochDigest(outcome.per_epoch),
-              EpochDigest(server_outcome.value().per_epoch));
-    // The server's cost counter is its network's grand total (operator +
-    // tree-repair handshakes); the coordinator's equivalent is the shared
-    // plane's total.
-    EXPECT_EQ(report.value().total.messages, server_outcome.value().cost.messages);
-    EXPECT_EQ(report.value().total.payload_bytes,
-              server_outcome.value().cost.payload_bytes);
-  }
-}
-
 TEST(CoordinatorTest, IdenticalSnapshotQueriesShareOneOperator) {
   // 8 identical snapshot queries piggyback on ONE operator: one
   // converge-cast per epoch, so the whole fleet pays what a single query
@@ -163,19 +119,6 @@ TEST(CoordinatorTest, IdenticalSnapshotQueriesShareOneOperator) {
     EXPECT_EQ(EpochDigest(outcome.per_epoch),
               EpochDigest(fleet_report.value().outcomes[0].per_epoch));
     EXPECT_EQ(outcome.per_epoch.size(), 15u);
-  }
-}
-
-TEST(CoordinatorTest, ShareDisabledDrivesOneOperatorPerQuery) {
-  QueryCoordinator::Options opt = SmallRun(8);
-  opt.share_operators = false;
-  QueryCoordinator coordinator(Scenario::ConferenceFloor(4, 3, 5), opt);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(coordinator.Admit(kSnapshotSql).ok());
-  auto report = coordinator.Run();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().operators, 4u);
-  for (const QueryOutcome& outcome : report.value().outcomes) {
-    EXPECT_EQ(outcome.share_group_size, 1u);
   }
 }
 

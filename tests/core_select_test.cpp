@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/select.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 #include "test_util.hpp"
 
 namespace kspot::core {
@@ -81,29 +81,34 @@ TEST(BasicSelectTest, SelectiveQueriesAreCheaper) {
   EXPECT_LT(few_bed.net->total().messages, all_bed.net->total().messages);
 }
 
-TEST(BasicSelectTest, ServerRoutesUngroupedSelect) {
-  system::KSpotServer::Options opt;
+TEST(BasicSelectTest, CoordinatorRoutesUngroupedSelect) {
+  system::QueryCoordinator::Options opt;
   opt.epochs = 4;
   opt.seed = 9;
-  system::KSpotServer server(system::Scenario::ConferenceFloor(4, 3, 9), opt);
-  auto outcome = server.Execute("SELECT nodeid, sound FROM sensors WHERE sound > 0");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  EXPECT_EQ(outcome.value().algorithm, "SELECT");
-  ASSERT_EQ(outcome.value().rows_per_epoch.size(), 4u);
-  EXPECT_EQ(outcome.value().rows_per_epoch[0].size(), 12u);  // sound > 0 always true
-  EXPECT_TRUE(outcome.value().per_epoch.empty());
+  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 9), opt);
+  ASSERT_TRUE(coordinator.Admit("SELECT nodeid, sound FROM sensors WHERE sound > 0").ok());
+  auto report = coordinator.Run();
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  const system::QueryOutcome& outcome = report.value().outcomes.at(0);
+  EXPECT_EQ(outcome.algorithm, "SELECT");
+  ASSERT_EQ(outcome.rows_per_epoch.size(), 4u);
+  EXPECT_EQ(outcome.rows_per_epoch[0].size(), 12u);  // sound > 0 always true
+  EXPECT_TRUE(outcome.per_epoch.empty());
 }
 
-TEST(BasicSelectTest, ServerRoutesGroupedSelectToTag) {
-  system::KSpotServer::Options opt;
+TEST(BasicSelectTest, CoordinatorRoutesGroupedSelectToTag) {
+  system::QueryCoordinator::Options opt;
   opt.epochs = 3;
   opt.seed = 9;
-  system::KSpotServer server(system::Scenario::ConferenceFloor(4, 3, 9), opt);
-  auto outcome = server.Execute("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().algorithm, "TAG");
+  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 9), opt);
+  ASSERT_TRUE(coordinator.Admit("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
+  auto report = coordinator.Run();
+  ASSERT_TRUE(report.ok());
+  const system::QueryOutcome& outcome = report.value().outcomes.at(0);
+  EXPECT_EQ(outcome.algorithm, "TAG");
+  EXPECT_EQ(outcome.query_class, query::QueryClass::kBasicSelect);
   // Without a TOP clause, every room is reported.
-  EXPECT_EQ(outcome.value().per_epoch.at(0).items.size(), 4u);
+  EXPECT_EQ(outcome.per_epoch.at(0).items.size(), 4u);
 }
 
 TEST(BasicSelectTest, SilentWhenNothingMatches) {

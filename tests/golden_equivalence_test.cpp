@@ -230,7 +230,7 @@ TEST(GoldenEquivalenceTest, ThroughputBedBitIdenticalAcrossShardCounts) {
       state.meter_joules.push_back(bed.net->meter(id).total_joules());
       state.sent_by.push_back(bed.net->MessagesSentBy(id));
     }
-    state.now = bed.net->events().now();
+    state.now = bed.net->clock().now();
     return state;
   };
   auto expect_same_counters = [](const sim::TrafficCounters& a, const sim::TrafficCounters& b) {
@@ -318,7 +318,7 @@ TEST(GoldenEquivalenceTest, ResultsBitIdenticalWithObservabilityEnabled) {
     }
     answers.push_back(std::to_string(bed.net->total().messages));
     answers.push_back(std::to_string(bed.net->total().payload_bytes));
-    answers.push_back(std::to_string(bed.net->events().now()));
+    answers.push_back(std::to_string(bed.net->clock().now()));
     for (sim::NodeId id = 0; id < 1000; id += 97) {
       answers.push_back(std::to_string(bed.net->MessagesSentBy(id)));
     }
@@ -567,7 +567,7 @@ TEST(GoldenEquivalenceTest, HistoricDeltaMatchesScratchAcrossShardCounts) {
     // whole vector compares shard/thread variants byte-for-byte.
     out.push_back(std::to_string(bed.net->total().messages));
     out.push_back(std::to_string(bed.net->total().payload_bytes));
-    out.push_back(std::to_string(bed.net->events().now()));
+    out.push_back(std::to_string(bed.net->clock().now()));
     return out;
   };
 

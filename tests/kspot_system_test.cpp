@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "kspot/coordinator.hpp"
 #include "kspot/display_panel.hpp"
-#include "kspot/node_runtime.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 #include "kspot/system_panel.hpp"
 
 namespace kspot::system {
@@ -58,32 +57,6 @@ TEST(ScenarioTest, ConferenceFloorShape) {
   EXPECT_EQ(t.NodesInRoom(0).size(), 4u);
 }
 
-// -------------------------------------------------------------- NodeRuntime
-
-TEST(NodeRuntimeTest, InstallsAndClassifiesQueries) {
-  NodeRuntime node(3, 16, data::GetModalityInfo(data::Modality::kSound));
-  EXPECT_FALSE(node.has_query());
-  auto s = node.InstallQuery("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(s.ok()) << s.message();
-  EXPECT_TRUE(node.has_query());
-  EXPECT_EQ(node.query_class(), query::QueryClass::kSnapshotTopK);
-  EXPECT_EQ(node.query().top_k, 2);
-}
-
-TEST(NodeRuntimeTest, RejectsBadQueries) {
-  NodeRuntime node(3, 16, data::GetModalityInfo(data::Modality::kSound));
-  EXPECT_FALSE(node.InstallQuery("SELECT warp FROM sensors").ok());
-  EXPECT_FALSE(node.has_query());
-}
-
-TEST(NodeRuntimeTest, SamplesFeedHistory) {
-  NodeRuntime node(3, 4, data::GetModalityInfo(data::Modality::kSound));
-  for (sim::Epoch e = 0; e < 6; ++e) node.Sample(e, 10.0 * e);
-  std::vector<double> window;
-  node.history().Window().ForEach([&](size_t, double v) { window.push_back(v); });
-  EXPECT_EQ(window, (std::vector<double>{20, 30, 40, 50}));
-}
-
 // -------------------------------------------------------------------- Panels
 
 TEST(DisplayPanelTest, RendersMapAndBullets) {
@@ -122,196 +95,236 @@ TEST(SystemPanelTest, SavingsMath) {
   EXPECT_NE(text.find("75.0%"), std::string::npos);
 }
 
-// -------------------------------------------------------------------- Server
+// ------------------------------------------------- Serving with the panel
 
-KSpotServer::Options SmallRun(size_t epochs = 10) {
-  KSpotServer::Options opt;
+constexpr const char* kSnapshotSql =
+    "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid";
+constexpr const char* kVerticalSql =
+    "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 128";
+constexpr const char* kHorizontalSql =
+    "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8";
+
+QueryCoordinator::Options SmallRun(size_t epochs = 10, uint64_t seed = 99) {
+  QueryCoordinator::Options opt;
   opt.epochs = epochs;
-  opt.seed = 99;
+  opt.seed = seed;
   return opt;
 }
 
-TEST(ServerTest, SnapshotTopKRunsMintAndSaves) {
-  KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), SmallRun(15));
-  auto outcome =
-      server.Execute("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  const RunOutcome& r = outcome.value();
-  EXPECT_EQ(r.algorithm, "MINT");
-  EXPECT_EQ(r.per_epoch.size(), 15u);
-  for (const auto& epoch : r.per_epoch) EXPECT_EQ(epoch.items.size(), 3u);
-  EXPECT_LT(r.cost.payload_bytes, r.baseline_cost.payload_bytes);
+/// One query served alone, with the System Panel fed the way a dashboard
+/// feeds it: KSpot's bill from every EpochUpdate, TAG's from the baseline.
+struct PanelRun {
+  QueryOutcome outcome;
+  sim::TrafficCounters kspot;
+  sim::TrafficCounters baseline;
+  SystemPanel panel;
+};
+
+PanelRun ServeWithPanel(const Scenario& scenario, const QueryCoordinator::Options& opt,
+                        const std::string& sql) {
+  PanelRun run;
+  QueryCoordinator coordinator(scenario, opt);
+  EXPECT_TRUE(coordinator.Admit(sql).ok()) << sql;
+  auto baseline = TagBaselineCost(coordinator.deployment(), opt, sql);
+  EXPECT_TRUE(baseline.ok()) << baseline.status().message();
+  for (const sim::TrafficCounters& epoch : baseline.value()) {
+    run.panel.RecordBaselineEpoch(epoch);
+    run.baseline.Add(epoch);
+  }
+  EXPECT_TRUE(coordinator.Open().ok());
+  for (size_t e = 0; e < opt.epochs; ++e) {
+    EpochUpdate update = coordinator.StepEpoch().value();
+    run.panel.RecordKspotEpoch(update.epoch_cost);
+    if (opt.enable_churn) {
+      SystemPanel::NodeStatus status;
+      status.total = coordinator.deployment().topology.num_nodes();
+      status.up = update.alive;
+      status.detached = update.detached;
+      status.repair_events = update.repair_events;
+      status.repair_messages = update.repair_messages;
+      run.panel.RecordNodeStatus(status);
+    }
+  }
+  CoordinatorReport report = coordinator.Close().value();
+  run.kspot = report.total;
+  run.outcome = report.outcomes.at(0);
+  return run;
+}
+
+TEST(PanelServingTest, SnapshotTopKRunsMintAndSaves) {
+  PanelRun r = ServeWithPanel(Scenario::ConferenceFloor(6, 3, 5), SmallRun(15), kSnapshotSql);
+  EXPECT_EQ(r.outcome.algorithm, "MINT");
+  EXPECT_EQ(r.outcome.per_epoch.size(), 15u);
+  for (const auto& epoch : r.outcome.per_epoch) EXPECT_EQ(epoch.items.size(), 3u);
+  EXPECT_LT(r.kspot.payload_bytes, r.baseline.payload_bytes);
   EXPECT_GT(r.panel.ByteSavingsPercent(), 0.0);
 }
 
-TEST(ServerTest, BasicSelectRoutesToTag) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5));
-  auto outcome = server.Execute("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().algorithm, "TAG");
-  EXPECT_EQ(outcome.value().query_class, query::QueryClass::kBasicSelect);
-}
-
-TEST(ServerTest, HistoricVerticalRoutesToTja) {
+TEST(PanelServingTest, HistoricVerticalTjaUndercutsCentralizedTag) {
   // Historic queries are about *long* buffers (months of readings in the
   // paper's example); a window much larger than the candidate union is
   // TJA's regime.
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun());
-  auto outcome = server.Execute(
-      "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 128");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  const RunOutcome& r = outcome.value();
-  EXPECT_EQ(r.algorithm, "TJA");
-  EXPECT_EQ(r.historic.items.size(), 3u);
-  EXPECT_GE(r.historic.lsink_size, 3u);
-  EXPECT_LT(r.cost.payload_bytes, r.baseline_cost.payload_bytes);
+  PanelRun r = ServeWithPanel(Scenario::ConferenceFloor(4, 3, 5), SmallRun(), kVerticalSql);
+  EXPECT_EQ(r.outcome.algorithm, "TJA");
+  EXPECT_EQ(r.outcome.historic.items.size(), 3u);
+  EXPECT_GE(r.outcome.historic.lsink_size, 3u);
+  EXPECT_LT(r.kspot.payload_bytes, r.baseline.payload_bytes);
 }
 
-TEST(ServerTest, HistoricHorizontalRoutesToMintOverWindows) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(8));
-  auto outcome = server.Execute(
-      "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  EXPECT_EQ(outcome.value().algorithm, "MINT+history");
-  EXPECT_EQ(outcome.value().per_epoch.size(), 8u);
-}
-
-TEST(ServerTest, SurfacesQueryErrors) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun());
-  EXPECT_FALSE(server.Execute("SELECT").ok());
-  EXPECT_FALSE(server.Execute("SELECT bogus FROM sensors").ok());
-  EXPECT_FALSE(
-      server.Execute("SELECT TOP 2 roomid, AVG(sound) FROM sensors").ok());  // no GROUP BY
-}
-
-TEST(ServerTest, ChurnOptionsDriveFaultInjectionAndNodeStatus) {
+TEST(PanelServingTest, ChurnDrivesFaultInjectionAndNodeStatus) {
   // Moderate churn: at high crash rates MINT's per-repair view rebuilds
   // erode its savings (that trade-off is E14's subject, not this test's).
-  KSpotServer::Options opt = SmallRun(40);
+  QueryCoordinator::Options opt = SmallRun(40);
   opt.enable_churn = true;
   opt.churn.crash_prob = 0.005;
   opt.churn.mean_downtime = 8;
-  KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), opt);
-  auto outcome =
-      server.Execute("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  const RunOutcome& r = outcome.value();
-  EXPECT_EQ(r.per_epoch.size(), 40u);
+  Scenario floor = Scenario::ConferenceFloor(6, 3, 5);
+  PanelRun r = ServeWithPanel(floor, opt, kSnapshotSql);
+  EXPECT_EQ(r.outcome.per_epoch.size(), 40u);
   // The System Panel surfaces node status once churn ran.
   const SystemPanel::NodeStatus& status = r.panel.node_status();
-  EXPECT_EQ(status.total, server.scenario().nodes.size());
+  EXPECT_EQ(status.total, floor.nodes.size());
   EXPECT_GT(status.up, 0u);
   EXPECT_GT(status.repair_events, 0u);
   EXPECT_GT(status.repair_messages, 0u);
   EXPECT_NE(r.panel.Render().find("nodes up"), std::string::npos);
   EXPECT_NE(r.panel.Render().find("tree repairs"), std::string::npos);
   // Repair traffic is charged: the same plan hits both runs, and MINT still
-  // undercuts the TAG shadow baseline.
-  EXPECT_LT(r.cost.payload_bytes, r.baseline_cost.payload_bytes);
+  // undercuts the TAG baseline.
+  EXPECT_LT(r.kspot.payload_bytes, r.baseline.payload_bytes);
+
+  PanelRun calm = ServeWithPanel(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5),
+                                 "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
+  EXPECT_EQ(calm.panel.node_status().total, 0u);
+  EXPECT_EQ(calm.panel.Render().find("nodes up"), std::string::npos);
 }
 
-TEST(ServerTest, ChurnDisabledLeavesPanelStatusEmpty) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5));
-  auto outcome =
-      server.Execute("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().panel.node_status().total, 0u);
-  EXPECT_EQ(outcome.value().panel.Render().find("nodes up"), std::string::npos);
-}
-
-/// Order- and run-independent digest of everything a query returned.
-std::string OutcomeDigest(const RunOutcome& r) {
-  char buf[96];
-  std::string out;
-  for (const auto& epoch : r.per_epoch) {
-    for (const auto& item : epoch.items) {
-      snprintf(buf, sizeof buf, "%d:%.17g;", item.group, item.value);
-      out += buf;
-    }
-    out += '|';
-  }
-  for (const auto& rows : r.rows_per_epoch) {
-    for (const auto& t : rows) {
-      snprintf(buf, sizeof buf, "%u=%.17g;", t.node, t.value);
-      out += buf;
-    }
-    out += '|';
-  }
-  for (const auto& item : r.historic.items) {
-    snprintf(buf, sizeof buf, "H%d:%.17g;", item.group, item.value);
-    out += buf;
-  }
-  snprintf(buf, sizeof buf, "m=%llu,b=%llu,E=%.17g",
-           static_cast<unsigned long long>(r.cost.messages),
-           static_cast<unsigned long long>(r.cost.payload_bytes), r.cost.energy_j());
-  out += buf;
-  return out;
-}
-
-TEST(ServerTest, ExecuteTwiceIsBitIdentical) {
-  // The coordinator reuses one server-side deployment for many queries, so
-  // Execute must never perturb state a later Execute reads: two sequential
-  // calls with the same SQL and seed are bit-identical, per query class,
-  // even interleaved with other queries and under churn + loss + batteries.
-  KSpotServer::Options opt;
-  opt.epochs = 12;
-  opt.seed = 42;
-  opt.loss_prob = 0.08;
-  opt.max_retries = 1;
-  opt.battery_j = 0.5;
-  opt.enable_churn = true;
-  opt.churn.crash_prob = 0.01;
-  opt.churn.mean_downtime = 5;
-  KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), opt);
-  const char* queries[] = {
-      "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid",
-      "SELECT nodeid, sound FROM sensors WHERE sound > 40",
-      "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid",
-      "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 64",
-      "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8",
-  };
-  std::vector<std::string> first;
-  for (const char* sql : queries) {
-    auto outcome = server.Execute(sql);
-    ASSERT_TRUE(outcome.ok()) << sql << ": " << outcome.status().message();
-    first.push_back(OutcomeDigest(outcome.value()));
-  }
-  for (size_t i = 0; i < std::size(queries); ++i) {
-    auto outcome = server.Execute(queries[i]);
-    ASSERT_TRUE(outcome.ok());
-    EXPECT_EQ(OutcomeDigest(outcome.value()), first[i]) << queries[i];
-  }
-  // And a fresh server over the same scenario/options reproduces them too.
-  KSpotServer fresh(Scenario::ConferenceFloor(6, 3, 5), opt);
-  auto outcome = fresh.Execute(queries[0]);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(OutcomeDigest(outcome.value()), first[0]);
-}
-
-TEST(ServerTest, StreamingCallbackFiresPerEpoch) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(6));
-  size_t calls = 0;
-  auto outcome = server.ExecuteStreaming(
-      "SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid",
-      [&](const core::TopKResult&, const SystemPanel&) { ++calls; });
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(calls, 6u);
-}
-
-TEST(ServerTest, Figure1ScenarioEndToEnd) {
-  KSpotServer::Options opt = SmallRun(3);
+TEST(PanelServingTest, Figure1ScenarioEndToEnd) {
+  QueryCoordinator::Options opt = SmallRun(3);
   opt.make_generator = [](const Scenario&, uint64_t) {
     return std::make_unique<data::ConstantGenerator>(sim::Figure1Readings());
   };
-  KSpotServer server(Scenario::Figure1(), opt);
-  auto outcome =
-      server.Execute("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  for (const auto& epoch : outcome.value().per_epoch) {
+  PanelRun r = ServeWithPanel(Scenario::Figure1(), opt,
+                              "SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid");
+  ASSERT_EQ(r.outcome.per_epoch.size(), 3u);
+  for (const auto& epoch : r.outcome.per_epoch) {
     ASSERT_EQ(epoch.items.size(), 1u);
     EXPECT_EQ(epoch.items[0].group, 2);  // room C
     EXPECT_DOUBLE_EQ(epoch.items[0].value, 75.0);
   }
+  EXPECT_GE(r.panel.MessageSavingsPercent(), 0.0);
+}
+
+// ------------------------------------------------------------ TAG baseline
+
+sim::TrafficCounters Sum(const std::vector<sim::TrafficCounters>& per_epoch) {
+  sim::TrafficCounters total;
+  for (const sim::TrafficCounters& epoch : per_epoch) total.Add(epoch);
+  return total;
+}
+
+TEST(TagBaselineCostTest, ReproducesPinnedShadowFigures) {
+  // TAG's cost on ConferenceFloor(6,3,5), seed 42, 25 epochs, as the
+  // hand-built shadow TAG run (its own network, tree copy, generator and
+  // fault plan) reported it. The baseline now reuses a session for the
+  // TOP-less twin and must reproduce every figure bit for bit.
+  struct Pin {
+    const char* name;
+    const char* sql;
+    void (*configure)(DeploymentConfig&);
+    uint64_t messages;
+    uint64_t payload_bytes;
+    double energy_j;
+  };
+  const Pin pins[] = {
+      {"lossless", kSnapshotSql, [](DeploymentConfig&) {}, 450, 10350, 0.59835937499999647},
+      {"loss 8% x1 retry", kSnapshotSql,
+       [](DeploymentConfig& c) {
+         c.loss_prob = 0.08;
+         c.max_retries = 1;
+       },
+       488, 11228, 0.63419874999999637},
+      {"churn", kSnapshotSql,
+       [](DeploymentConfig& c) {
+         c.enable_churn = true;
+         c.churn.crash_prob = 0.01;
+         c.churn.mean_downtime = 5;
+       },
+       403, 8893, 0.52033562499999775},
+      {"battery 0.5 J", kSnapshotSql, [](DeploymentConfig& c) { c.battery_j = 0.5; }, 450,
+       10350, 0.59835937499999647},
+      {"vertical", kVerticalSql, [](DeploymentConfig&) {}, 18, 27774, 1.2491662499999996},
+      {"horizontal", kHorizontalSql, [](DeploymentConfig&) {}, 450, 10350,
+       0.59835937499999647},
+      // TAG's traffic depends on neither K nor the readings, so TAG over
+      // window aggregates under the session's fault plan costs what the
+      // snapshot twin does under churn.
+      {"horizontal churn", kHorizontalSql,
+       [](DeploymentConfig& c) {
+         c.enable_churn = true;
+         c.churn.crash_prob = 0.01;
+         c.churn.mean_downtime = 5;
+       },
+       403, 8893, 0.52033562499999775},
+  };
+  Deployment deployment(Scenario::ConferenceFloor(6, 3, 5), 42);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    DeploymentConfig config;
+    config.epochs = 25;
+    config.seed = 42;
+    pin.configure(config);
+    auto cost = TagBaselineCost(deployment, config, pin.sql);
+    ASSERT_TRUE(cost.ok()) << cost.status().message();
+    EXPECT_EQ(cost.value().size(), std::string(pin.sql) == kVerticalSql ? 1u : 25u);
+    sim::TrafficCounters total = Sum(cost.value());
+    EXPECT_EQ(total.messages, pin.messages);
+    EXPECT_EQ(total.payload_bytes, pin.payload_bytes);
+    EXPECT_EQ(total.energy_j(), pin.energy_j);
+  }
+}
+
+TEST(TagBaselineCostTest, RefillsRetryBudgetsEveryEpoch) {
+  // Adaptive ARQ with a 2-retry budget per node and epoch under 30% loss:
+  // a baseline that never refills the budgets stops retrying after a few
+  // epochs and understates TAG's cost (486 messages instead of 668).
+  Deployment deployment(Scenario::ConferenceFloor(6, 3, 5), 42);
+  DeploymentConfig config;
+  config.epochs = 25;
+  config.seed = 42;
+  config.loss_prob = 0.3;
+  config.reliability.enabled = true;
+  config.reliability.retry_budget = 2;
+  for (const char* sql : {kSnapshotSql, kHorizontalSql}) {
+    SCOPED_TRACE(sql);
+    auto cost = TagBaselineCost(deployment, config, sql);
+    ASSERT_TRUE(cost.ok()) << cost.status().message();
+    ASSERT_EQ(cost.value().size(), 25u);
+    for (size_t e = 0; e < cost.value().size(); ++e) {
+      EXPECT_GT(cost.value()[e].retries, 0u) << "epoch " << e;
+    }
+  }
+  EXPECT_EQ(Sum(TagBaselineCost(deployment, config, kSnapshotSql).value()).messages, 668u);
+}
+
+TEST(TagBaselineCostTest, SurfacesQueryErrors) {
+  Deployment deployment(Scenario::ConferenceFloor(4, 3, 5), 1);
+  DeploymentConfig config;
+  EXPECT_FALSE(TagBaselineCost(deployment, config, "SELECT").ok());
+  EXPECT_FALSE(TagBaselineCost(deployment, config, "SELECT bogus FROM sensors").ok());
+  EXPECT_FALSE(
+      TagBaselineCost(deployment, config, "SELECT TOP 2 roomid, AVG(sound) FROM sensors").ok());
+}
+
+TEST(TagBaselineCostTest, UngroupedSelectIsItsOwnBaseline) {
+  // Tuple collection is already what TAG would do: the baseline serves the
+  // query itself, so the panel reports no savings.
+  const char* sql = "SELECT nodeid, sound FROM sensors WHERE sound > 40";
+  PanelRun r = ServeWithPanel(Scenario::ConferenceFloor(4, 3, 5), SmallRun(6), sql);
+  EXPECT_EQ(r.outcome.algorithm, "SELECT");
+  EXPECT_EQ(r.kspot.messages, r.baseline.messages);
+  EXPECT_EQ(r.kspot.payload_bytes, r.baseline.payload_bytes);
+  EXPECT_DOUBLE_EQ(r.panel.MessageSavingsPercent(), 0.0);
 }
 
 }  // namespace

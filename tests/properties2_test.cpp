@@ -5,9 +5,7 @@
 
 #include "core/fila.hpp"
 #include "core/oracle.hpp"
-#include "data/trace_io.hpp"
 #include "query/parser.hpp"
-#include "util/fixed_point.hpp"
 #include "sim/waves.hpp"
 #include "test_util.hpp"
 
@@ -190,61 +188,6 @@ TEST(DownWaveLossProperty, ReachedSetIsAncestorClosed) {
           << "node " << node << " reached without its parent (seed " << seed << ")";
     }
   }
-}
-
-// =====================================================================
-// Property suite 9: trace CSV round trip across random matrices.
-// =====================================================================
-
-class TraceRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(TraceRoundTripTest, CsvRoundTripIsLossless) {
-  util::Rng rng(GetParam());
-  size_t epochs = 3 + rng.NextBounded(20);
-  size_t nodes = 2 + rng.NextBounded(10);
-  std::vector<std::vector<double>> matrix(epochs, std::vector<double>(nodes, 0.0));
-  for (auto& row : matrix) {
-    for (size_t i = 1; i < nodes; ++i) {
-      row[i] = util::fixed_point::Quantize(rng.NextDouble(-50, 150));
-    }
-  }
-  auto parsed = data::trace_io::ParseCsv(data::trace_io::ToCsv(matrix));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  ASSERT_EQ(parsed.value().size(), epochs);
-  for (size_t e = 0; e < epochs; ++e) {
-    ASSERT_EQ(parsed.value()[e].size(), nodes);
-    for (size_t i = 0; i < nodes; ++i) {
-      EXPECT_NEAR(parsed.value()[e][i], matrix[e][i], 1e-6);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TraceRoundTripTest,
-                         ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull));
-
-TEST(TraceIoTest, RejectsMalformedInput) {
-  EXPECT_FALSE(data::trace_io::ParseCsv("").ok());
-  EXPECT_FALSE(data::trace_io::ParseCsv("# only comments\n").ok());
-  EXPECT_FALSE(data::trace_io::ParseCsv("1, banana, 3\n").ok());
-  EXPECT_FALSE(data::trace_io::LoadCsv("/does/not/exist.csv").ok());
-}
-
-TEST(TraceIoTest, RecordAndReplayThroughGenerator) {
-  data::UniformGenerator source(8, data::Modality::kSound, util::Rng(3));
-  auto matrix = data::trace_io::Record(source, 8, 12);
-  data::TraceGenerator replay(matrix, data::Modality::kSound);
-  data::UniformGenerator source2(8, data::Modality::kSound, util::Rng(3));
-  for (sim::Epoch e = 0; e < 12; ++e) {
-    for (sim::NodeId id = 1; id < 8; ++id) {
-      EXPECT_DOUBLE_EQ(replay.Value(id, e), source2.Value(id, e));
-    }
-  }
-}
-
-TEST(TraceIoTest, ShorterRowsZeroPad) {
-  auto parsed = data::trace_io::ParseCsv("1,2,3\n4,5\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value()[1], (std::vector<double>{4, 5, 0}));
 }
 
 }  // namespace

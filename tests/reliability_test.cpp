@@ -96,7 +96,7 @@ RelSummary RunTag(bench::Bed& bed, size_t epochs) {
   s.messages = bed.net->total().messages;
   s.retries = bed.net->total().retries;
   s.backoff_us = bed.net->total().backoff_us;
-  s.now = bed.net->events().now();
+  s.now = bed.net->clock().now();
   return s;
 }
 

@@ -205,7 +205,7 @@ RunSummary Summarize(const bench::Bed& bed, std::vector<std::string> answers) {
   for (sim::NodeId id = 0; id < bed.topology.num_nodes(); ++id) {
     s.sent_by.push_back(bed.net->MessagesSentBy(id));
   }
-  s.now = bed.net->events().now();
+  s.now = bed.net->clock().now();
   return s;
 }
 

@@ -6,8 +6,8 @@
 #include <set>
 #include <string>
 
+#include "sim/clock.hpp"
 #include "sim/energy_model.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/radio_model.hpp"
 #include "sim/routing_tree.hpp"
@@ -18,60 +18,17 @@
 namespace kspot::sim {
 namespace {
 
-// -------------------------------------------------------------- EventQueue
+// ---------------------------------------------------------------- SimClock
 
-TEST(EventQueueTest, ExecutesInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.ScheduleAt(30, [&] { order.push_back(3); });
-  q.ScheduleAt(10, [&] { order.push_back(1); });
-  q.ScheduleAt(20, [&] { order.push_back(2); });
-  EXPECT_EQ(q.RunUntilIdle(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueueTest, TiesExecuteInInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.ScheduleAt(7, [&order, i] { order.push_back(i); });
-  }
-  q.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, HandlersCanScheduleMoreEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.ScheduleAt(1, [&] {
-    ++fired;
-    q.ScheduleAfter(5, [&] { ++fired; });
-  });
-  q.RunUntilIdle();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), 6u);
-}
-
-TEST(EventQueueTest, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  int fired = 0;
-  q.ScheduleAt(5, [&] { ++fired; });
-  q.ScheduleAt(15, [&] { ++fired; });
-  EXPECT_EQ(q.RunUntil(10), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(EventQueueTest, PastSchedulingClampsToNow) {
-  EventQueue q;
-  q.AdvanceTo(100);
-  bool ran = false;
-  q.ScheduleAt(5, [&] { ran = true; });
-  q.RunUntilIdle();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(q.now(), 100u);
+TEST(SimClockTest, AdvancesForwardAndJumpsExactly) {
+  SimClock clock;
+  EXPECT_EQ(clock.now(), 0u);
+  clock.AdvanceTo(100);
+  EXPECT_EQ(clock.now(), 100u);
+  clock.AdvanceTo(40);  // never backwards
+  EXPECT_EQ(clock.now(), 100u);
+  clock.JumpTo(40);     // exactly, backwards included
+  EXPECT_EQ(clock.now(), 40u);
 }
 
 // ---------------------------------------------------------------- Topology
