@@ -80,6 +80,21 @@ class GroupView {
   /// Removes `group`; no-op when absent.
   void Erase(sim::GroupId group);
 
+  /// Removes every entry for which `pred(group, partial)` is true,
+  /// compacting in place (capacity is kept). `pred` is called exactly once
+  /// per entry, in ascending group order, so it may walk another
+  /// group-sorted table alongside.
+  template <typename Pred>
+  void EraseIf(Pred&& pred) {
+    size_t out = 0;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (pred(entries_[i].first, entries_[i].second)) continue;
+      if (out != i) entries_[out] = entries_[i];
+      ++out;
+    }
+    entries_.resize(out);
+  }
+
   /// Removes all groups (capacity is retained for reuse across epochs).
   void clear() { entries_.clear(); }
 

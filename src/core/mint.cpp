@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "util/fixed_point.hpp"
 
@@ -31,6 +33,31 @@ bool SamePartial(const agg::PartialAgg& a, const agg::PartialAgg& b) {
          a.max_fx == b.max_fx;
 }
 
+/// counts[g] = max(counts[g], partial.count) over `view`'s entries: one
+/// linear merge, both sides ascending by group. Max-merge, so a transient
+/// loss in one wave can only under-count until the next full wave repairs it.
+void MaxMergeCounts(std::vector<std::pair<sim::GroupId, uint32_t>>& counts,
+                    const std::vector<agg::GroupView::Entry>& view) {
+  std::vector<std::pair<sim::GroupId, uint32_t>> merged;
+  merged.reserve(counts.size() + view.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < view.size() || j < counts.size()) {
+    if (j == counts.size() || (i < view.size() && view[i].first < counts[j].first)) {
+      merged.emplace_back(view[i].first, view[i].second.count);
+      ++i;
+    } else if (i == view.size() || counts[j].first < view[i].first) {
+      merged.push_back(counts[j]);
+      ++j;
+    } else {
+      merged.emplace_back(counts[j].first, std::max(counts[j].second, view[i].second.count));
+      ++i;
+      ++j;
+    }
+  }
+  counts.swap(merged);
+}
+
 }  // namespace
 
 MintViews::MintViews(sim::Network* net, data::DataGenerator* gen, QuerySpec spec)
@@ -47,10 +74,17 @@ MintViews::MintViews(sim::Network* net, data::DataGenerator* gen, QuerySpec spec
   child_view_.resize(n);
 }
 
-uint32_t MintViews::TotalCount(sim::GroupId g) const {
-  if (spec_.grouping == Grouping::kNode) return 1;
-  auto it = total_count_.find(g);
-  return it == total_count_.end() ? 0 : it->second;
+uint32_t& MintViews::TotalSlot(sim::GroupId g) {
+  if (g < 0 || g > sim::kMaxRoomId) {
+    // Unconditional (not assert): the dense table would otherwise be indexed
+    // out of range, and the wire codec's u16 group field cannot carry it.
+    std::fprintf(stderr, "MintViews: room id %d outside [0, %d]\n", static_cast<int>(g),
+                 static_cast<int>(sim::kMaxRoomId));
+    std::abort();
+  }
+  auto i = static_cast<size_t>(g);
+  if (i >= total_count_.size()) total_count_.resize(i + 1, 0);
+  return total_count_[i];
 }
 
 agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId phase) {
@@ -66,13 +100,7 @@ agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId
     if (node != sim::kSinkId) {
       view.AddReading(GroupOf(node), gen_->Value(node, epoch));
     }
-    // Record subtree cardinalities; max-merge so a transient loss in one
-    // wave can only under-count until the next full wave repairs it.
-    auto& counts = subtree_count_[node];
-    for (const auto& [g, partial] : view.entries()) {
-      uint32_t& c = counts[g];
-      c = std::max(c, partial.count);
-    }
+    MaxMergeCounts(subtree_count_[node], view.entries());
     // Reset the view-maintenance caches: the parent now holds this full view.
     last_sent_[node] = view;
     child_view_[node] = view;
@@ -98,7 +126,7 @@ void MintViews::DisseminateState(bool include_cardinalities, sim::PhaseId phase)
     bool with_table;
   };
   Beacon seed{pruning_tau_, pruning_tau_valid_, send_table};
-  size_t table_bytes = send_table ? 2 + 4 * total_count_.size() : 0;
+  size_t table_bytes = send_table ? 2 + 4 * total_groups_ : 0;
   auto produce = [&](sim::NodeId node, const Beacon* incoming) -> std::optional<Beacon> {
     if (node == sim::kSinkId) {
       tau_at_[node] = pruning_tau_;
@@ -182,26 +210,23 @@ double MintViews::UpperBound(sim::GroupId g, const agg::PartialAgg& partial,
 }
 
 void MintViews::PruneView(sim::NodeId node, agg::GroupView& view) const {
-  std::vector<sim::GroupId> to_erase;
   bool have_tau = tau_valid_at_[node] != 0;
   double tau = tau_at_[node];
-  const auto& counts = subtree_count_[node];
-  for (const auto& [g, partial] : view.entries()) {
-    uint32_t expected = 0;
-    auto it = counts.find(g);
-    if (it != counts.end()) expected = it->second;
+  // View and c_g table are both ascending by group: walk them side by side.
+  const CountTable& counts = subtree_count_[node];
+  size_t c = 0;
+  view.EraseIf([&](sim::GroupId g, const agg::PartialAgg& partial) {
+    while (c < counts.size() && counts[c].first < g) ++c;
+    uint32_t expected = c < counts.size() && counts[c].first == g ? counts[c].second : 0;
     bool complete = partial.count >= expected;
     if (!complete && options_.closure_pruning && spec_.agg != agg::AggKind::kMax) {
       // A descendant pruned this group: it is provably outside the top-k,
       // so forwarding the remaining partial would be wasted bytes.
-      to_erase.push_back(g);
-      continue;
+      return true;
     }
-    if (options_.gamma_suppression && have_tau) {
-      if (UpperBound(g, partial, partial.count) < tau - kTauEps) to_erase.push_back(g);
-    }
-  }
-  for (sim::GroupId g : to_erase) view.Erase(g);
+    return options_.gamma_suppression && have_tau &&
+           UpperBound(g, partial, partial.count) < tau - kTauEps;
+  });
 }
 
 agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
@@ -215,15 +240,17 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     lanes = rt->lane_count();
   }
   if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
+  if (lane_deltas_.size() < lanes) lane_deltas_.resize(lanes);
   // Lane-aware (third argument): caches are written only for the visited
   // node and its own children, which live in the same shard lane.
   auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
                      size_t lane) -> std::optional<Msg> {
-    // Apply the children's deltas to their cached views.
+    // Apply the children's deltas to their cached views, then recycle them.
     for (Msg& delta : inbox) {
       agg::GroupView& cache = child_view_[delta.from];
       for (auto& [g, partial] : delta.changed) cache.Set(g, partial);
       for (sim::GroupId g : delta.removed) cache.Erase(g);
+      lane_deltas_[delta.lane].push_back(std::move(delta));
     }
     // Rebuild this node's view from the cached child views + own reading,
     // into per-lane scratch reused across nodes and epochs.
@@ -240,8 +267,16 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     PruneView(node, view);
     // Delta against what the parent believes (the Update Phase proper):
     // both sides are sorted by group, so the diff is one linear walk.
+    std::vector<Msg>& free_deltas = lane_deltas_[lane];
     Msg delta;
+    if (!free_deltas.empty()) {
+      delta = std::move(free_deltas.back());
+      free_deltas.pop_back();
+      delta.changed.clear();
+      delta.removed.clear();
+    }
     delta.from = node;
+    delta.lane = lane;
     const auto& cur = view.entries();
     const auto& sent = last_sent_[node].entries();
     if (options_.delta_updates) {
@@ -269,6 +304,7 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     }
     if (delta.changed.empty() && delta.removed.empty()) {
       // Nothing changed: the parent's cached V'_i is still current.
+      free_deltas.push_back(std::move(delta));
       return std::nullopt;
     }
     last_sent_[node] = view;
@@ -328,9 +364,11 @@ TopKResult MintViews::EvaluateAtSink(sim::Epoch epoch, const agg::GroupView& sin
 
 TopKResult MintViews::RunCreation(sim::Epoch epoch) {
   agg::GroupView full = FullWaveRebuildingState(epoch, kPhaseCreate);
-  total_count_.clear();
-  for (const auto& [g, partial] : full.entries()) total_count_[g] = partial.count;
-  total_groups_ = total_count_.size();
+  total_groups_ = full.size();
+  if (spec_.grouping == Grouping::kRoom) {
+    std::fill(total_count_.begin(), total_count_.end(), 0);
+    for (const auto& [g, partial] : full.entries()) TotalSlot(g) = partial.count;
+  }
 
   TopKResult result;
   result.epoch = epoch;
@@ -368,22 +406,37 @@ void MintViews::OnTopologyChanged() {
 void MintViews::RecountCardinalities() {
   const sim::RoutingTree& tree = net_->tree();
   size_t n = net_->topology().num_nodes();
-  total_count_.clear();
+  std::fill(total_count_.begin(), total_count_.end(), 0);
+  total_groups_ = 0;
   for (sim::NodeId id = 1; id < n; ++id) {
-    if (net_->NodeAlive(id) && tree.attached(id)) ++total_count_[GroupOf(id)];
+    if (!net_->NodeAlive(id) || !tree.attached(id)) continue;
+    // Node grouping: every surviving sensor is its own group.
+    if (spec_.grouping == Grouping::kNode || TotalSlot(GroupOf(id))++ == 0) ++total_groups_;
   }
-  total_groups_ = total_count_.size();
-  // Subtree cardinalities, accumulated leaves-first. Equals what a lossless
-  // creation wave would record; the churn layer's join handshakes and the
-  // report/retraction messages charged by the incremental repair are how the
-  // counts travel in protocol terms.
-  for (auto& counts : subtree_count_) counts.clear();
+  // Subtree cardinalities, accumulated leaves-first: the children's tables
+  // and the node's own sensor, concatenated, sorted by group and summed.
+  // Equals what a lossless creation wave would record; the churn layer's
+  // join handshakes and the report/retraction messages charged by the
+  // incremental repair are how the counts travel in protocol terms.
+  for (CountTable& counts : subtree_count_) counts.clear();
   for (sim::NodeId node : tree.post_order()) {
-    auto& counts = subtree_count_[node];
+    CountTable& counts = subtree_count_[node];
     for (sim::NodeId child : tree.children(node)) {
-      for (const auto& [g, c] : subtree_count_[child]) counts[g] += c;
+      const CountTable& sub = subtree_count_[child];
+      counts.insert(counts.end(), sub.begin(), sub.end());
     }
-    if (node != sim::kSinkId && net_->NodeAlive(node)) ++counts[GroupOf(node)];
+    if (node != sim::kSinkId && net_->NodeAlive(node)) counts.emplace_back(GroupOf(node), 1);
+    std::sort(counts.begin(), counts.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    size_t out = 0;
+    for (size_t i = 0; i < counts.size(); ++i) {
+      if (out > 0 && counts[out - 1].first == counts[i].first) {
+        counts[out - 1].second += counts[i].second;
+      } else {
+        counts[out++] = counts[i];
+      }
+    }
+    counts.resize(out);
   }
 }
 

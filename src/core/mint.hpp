@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -116,11 +115,17 @@ class MintViews : public EpochAlgorithm {
 
  private:
   /// One delta update: entries that changed plus groups that disappeared.
+  /// Deltas are recycled: once the parent has applied one, it goes back,
+  /// buffers and all, to the free list of the shard lane that built it.
   struct Delta {
     sim::NodeId from = sim::kNoNode;
+    size_t lane = 0;
     std::vector<std::pair<sim::GroupId, agg::PartialAgg>> changed;
     std::vector<sim::GroupId> removed;
   };
+
+  /// (group, cardinality) pairs, ascending by group.
+  using CountTable = std::vector<std::pair<sim::GroupId, uint32_t>>;
 
   Options options_;
   bool created_ = false;
@@ -130,10 +135,12 @@ class MintViews : public EpochAlgorithm {
   int incremental_repair_count_ = 0;
   size_t total_groups_ = 0;
 
-  /// Global group cardinalities n_g (disseminated in the creation phase).
-  std::unordered_map<sim::GroupId, uint32_t> total_count_;
+  /// Global group cardinalities n_g indexed by room id (disseminated in the
+  /// creation phase); absent groups read 0. Unused under node grouping,
+  /// where n_g == 1.
+  std::vector<uint32_t> total_count_;
   /// Per node: subtree cardinalities c_g (recorded during full waves).
-  std::vector<std::unordered_map<sim::GroupId, uint32_t>> subtree_count_;
+  std::vector<CountTable> subtree_count_;
   /// Per node: the threshold currently installed (beacons can be lost).
   std::vector<double> tau_at_;
   std::vector<uint8_t> tau_valid_at_;
@@ -149,13 +156,17 @@ class MintViews : public EpochAlgorithm {
   /// Per node: cached views of its children, maintained from deltas.
   std::vector<agg::GroupView> child_view_;
 
-  /// Reusable wave state (inboxes, scratch views) — allocated once, reused
-  /// every epoch. The update wave's scratch view is per lane so concurrent
-  /// shard lanes never share it (one entry on the serial path); it is
-  /// pre-sized before the wave launches, never resized inside it.
+  /// Reusable wave state (inboxes, scratch views, delta free lists) —
+  /// allocated once, reused every epoch. The update wave's scratch view and
+  /// delta free list are per lane so concurrent shard lanes never share them
+  /// (one entry on the serial path); they are pre-sized before the wave
+  /// launches, never resized inside it. A delta built in lane L returns to
+  /// list L: its parent runs in L, or is the sink, which runs after every
+  /// lane has finished.
   sim::UpWave<agg::GroupView>::Workspace full_wave_ws_;
   sim::UpWave<Delta>::Workspace update_wave_ws_;
   std::vector<agg::GroupView> lane_scratch_;
+  std::vector<std::vector<Delta>> lane_deltas_;
   agg::GroupView sink_view_;
 
   /// Threshold in force at the nodes (last broadcast), with margin applied.
@@ -188,7 +199,14 @@ class MintViews : public EpochAlgorithm {
   void RecountCardinalities();
 
   /// n_g lookup (1 under node grouping).
-  uint32_t TotalCount(sim::GroupId g) const;
+  uint32_t TotalCount(sim::GroupId g) const {
+    if (spec_.grouping == Grouping::kNode) return 1;
+    auto i = static_cast<size_t>(static_cast<uint32_t>(g));
+    return i < total_count_.size() ? total_count_[i] : 0;
+  }
+  /// The n_g slot of room `g`, growing the table to cover it. Aborts on a
+  /// room id outside [0, sim::kMaxRoomId].
+  uint32_t& TotalSlot(sim::GroupId g);
   /// Upper bound on group g's final value given a subtree partial.
   double UpperBound(sim::GroupId g, const agg::PartialAgg& partial, uint32_t subtree_c) const;
   /// Applies pruning rules to a node's merged view in place.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "util/fixed_point.hpp"
 
@@ -133,19 +134,30 @@ RoomCorrelatedGenerator::RoomCorrelatedGenerator(std::vector<sim::GroupId> room_
       global_sigma_(global_sigma),
       quantize_step_(quantize_step) {
   global_level_ = global_sigma_ > 0.0 ? rng_.NextGaussian(0.0, global_sigma_ * 4.0) : 0.0;
+  // Initial levels are drawn in order of first appearance. The epoch walk
+  // steps the rooms in the iteration order of a hash map filled in that same
+  // order (not ascending by room id). That order is part of the pinned
+  // reading stream, so it is recorded here once as the slot order.
+  std::unordered_map<sim::GroupId, double> initial;
   for (size_t i = 1; i < room_of_.size(); ++i) {
     sim::GroupId room = room_of_[i];
-    if (!room_level_.count(room)) {
-      room_level_[room] = rng_.NextDouble(info_.min_value, info_.max_value);
-    }
+    if (!initial.count(room)) initial[room] = rng_.NextDouble(info_.min_value, info_.max_value);
   }
+  std::unordered_map<sim::GroupId, uint32_t> slot;
+  room_level_.reserve(initial.size());
+  for (const auto& [room, level] : initial) {
+    slot[room] = static_cast<uint32_t>(room_level_.size());
+    room_level_.push_back(level);
+  }
+  slot_of_.assign(room_of_.size(), 0);
+  for (size_t i = 1; i < room_of_.size(); ++i) slot_of_[i] = slot[room_of_[i]];
 }
 
 void RoomCorrelatedGenerator::AdvanceTo(sim::Epoch epoch) {
   auto refill = [&]() {
     cache_.assign(room_of_.size(), 0.0);
     for (size_t i = 1; i < room_of_.size(); ++i) {
-      double level = room_level_[room_of_[i]] + global_level_;
+      double level = room_level_[slot_of_[i]] + global_level_;
       cache_[i] =
           QuantizeToStep(level + rng_.NextGaussian(0.0, noise_sigma_), quantize_step_, info_);
     }
@@ -156,7 +168,7 @@ void RoomCorrelatedGenerator::AdvanceTo(sim::Epoch epoch) {
     primed_ = true;
   }
   while (cached_epoch_ < epoch) {
-    for (auto& [room, level] : room_level_) {
+    for (double& level : room_level_) {
       level = ClampToDomain(level + rng_.NextGaussian(0.0, room_sigma_), info_);
     }
     if (global_sigma_ > 0.0) {

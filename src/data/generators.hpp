@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "data/modality.hpp"
@@ -151,7 +150,11 @@ class RoomCorrelatedGenerator : public DataGenerator {
   double global_sigma_;
   double quantize_step_;
   double global_level_ = 0.0;
-  std::unordered_map<sim::GroupId, double> room_level_;
+  /// Room activity levels, one slot per distinct room, in the order the
+  /// epoch walk draws their steps (fixed at construction).
+  std::vector<double> room_level_;
+  /// Per node: its room's slot in room_level_.
+  std::vector<uint32_t> slot_of_;
   sim::Epoch cached_epoch_ = 0;
   std::vector<double> cache_;
   bool primed_ = false;

@@ -100,11 +100,14 @@ ChurnReport ChurnEngine::BeginEpoch(sim::Epoch epoch) {
   size_t n = was_alive_.size();
   bool scheduled_membership = report.crashes + report.recoveries > 0;
   util::Rng repair_rng = util::Rng(plan_.seed ^ kRepairSalt).Split(epoch);
+  // Read-only view: the mutable meter() would make the network recount its
+  // alive-attached population.
+  const sim::Network& net = *net_;
   while (true) {
     size_t deaths = 0;
     for (size_t i = 0; i < n; ++i) {
       auto id = static_cast<sim::NodeId>(i);
-      if (was_alive_[i] && net_->NodeUp(id) && !net_->meter(id).alive()) {
+      if (was_alive_[i] && net.NodeUp(id) && !net.meter(id).alive()) {
         was_alive_[i] = 0;
         ++deaths;
       }

@@ -57,6 +57,11 @@ util::StatusOr<Scenario> Scenario::FromText(const std::string& text) {
   auto fail = [&](const std::string& msg) {
     return util::Status::Error("scenario line " + std::to_string(lineno) + ": " + msg);
   };
+  auto room_in_range = [](long room) { return room >= 0 && room <= sim::kMaxRoomId; };
+  auto bad_room = [&](long room) {
+    return fail("room id " + std::to_string(room) + " outside [0, " +
+                std::to_string(sim::kMaxRoomId) + "]");
+  };
   while (std::getline(iss, line)) {
     ++lineno;
     std::string_view trimmed = util::Trim(line);
@@ -78,11 +83,13 @@ util::StatusOr<Scenario> Scenario::FromText(const std::string& text) {
       long room;
       std::string cname;
       if (!(ls >> room >> cname)) return fail("cluster needs <room> <name>");
+      if (!room_in_range(room)) return bad_room(room);
       s.cluster_names[static_cast<sim::GroupId>(room)] = cname;
     } else if (directive == "node") {
       Node n;
       long id, room;
       if (!(ls >> id >> n.x >> n.y >> room)) return fail("node needs <id> <x> <y> <room>");
+      if (!room_in_range(room)) return bad_room(room);
       n.id = static_cast<sim::NodeId>(id);
       n.room = static_cast<sim::GroupId>(room);
       s.nodes.push_back(n);

@@ -49,7 +49,8 @@ struct Scenario {
   /// Serializes to the text format above.
   std::string ToText() const;
 
-  /// Parses the text format; returns a descriptive error on bad input.
+  /// Parses the text format; returns a descriptive, line-numbered error on
+  /// bad input, including a room id outside [0, sim::kMaxRoomId].
   static util::StatusOr<Scenario> FromText(const std::string& text);
 
   /// Loads from a file.

@@ -1,8 +1,7 @@
 #include "query/ast.hpp"
 
+#include <charconv>
 #include <sstream>
-
-#include "util/string_util.hpp"
 
 namespace kspot::query {
 
@@ -17,6 +16,19 @@ std::string CompareOpText(CompareOp op) {
   }
   return "?";
 }
+
+namespace {
+
+/// Shortest fixed-notation text that parses back to exactly `v`, so the
+/// round trip is lossless (the lexer reads no exponents, so 3e10 prints as
+/// 30000000000).
+std::string ShortestRoundTrip(double v) {
+  char buf[400];  // fixed notation of any finite double fits
+  auto result = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
+  return std::string(buf, result.ptr);
+}
+
+}  // namespace
 
 std::string ParsedQuery::ToSql() const {
   std::ostringstream oss;
@@ -33,17 +45,12 @@ std::string ParsedQuery::ToSql() const {
   oss << " FROM " << from;
   if (has_where) {
     oss << " WHERE " << where.attribute << ' ' << CompareOpText(where.op) << ' '
-        << util::FormatDouble(where.literal, where.literal == static_cast<int>(where.literal)
-                                                 ? 0
-                                                 : 2);
+        << ShortestRoundTrip(where.literal);
   }
   if (!group_by.empty()) oss << " GROUP BY " << group_by;
   if (epoch_duration_s > 0) {
-    // Canonicalize to seconds (the parser accepts ms/s/min); keep fractions
-    // for sub-second durations so the round trip is lossless.
-    bool integral = epoch_duration_s == static_cast<double>(static_cast<long>(epoch_duration_s));
-    oss << " EPOCH DURATION " << util::FormatDouble(epoch_duration_s, integral ? 0 : 3)
-        << " s";
+    // Canonicalize to seconds (the parser accepts ms/s/min).
+    oss << " EPOCH DURATION " << ShortestRoundTrip(epoch_duration_s) << " s";
   }
   if (history > 0) oss << " WITH HISTORY " << history;
   return oss.str();

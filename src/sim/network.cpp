@@ -61,7 +61,9 @@ Network::Network(const Network& other)
       clock_(other.clock_),
       state_(other.state_),
       phase_id_(other.phase_id_),
-      phase_name_(other.phase_name_) {
+      phase_name_(other.phase_name_),
+      alive_attached_(other.alive_attached_),
+      counted_revision_(other.counted_revision_) {
   // A shard runtime is bound to the object it was attached to; the copy
   // starts serial.
 }
@@ -77,7 +79,33 @@ Network& Network::operator=(const Network& other) {
   phase_id_ = other.phase_id_;
   phase_name_ = other.phase_name_;
   shard_runtime_ = nullptr;
+  alive_attached_ = other.alive_attached_;
+  counted_revision_ = other.counted_revision_;
   return *this;
+}
+
+void Network::SetNodeUp(NodeId id, bool up) {
+  uint8_t flag = up ? 1 : 0;
+  if (state_.up[id] == flag) return;
+  state_.up[id] = flag;
+  if (counted_revision_ == tree_->revision() && id != kSinkId && state_.meters[id].alive() &&
+      tree_->attached(id)) {
+    if (up) {
+      ++alive_attached_;
+    } else {
+      --alive_attached_;
+    }
+  }
+}
+
+uint32_t Network::Spend(NodeId id, void (EnergyMeter::*add)(double), double joules) {
+  EnergyMeter& meter = state_.meters[id];
+  bool was_alive = meter.alive();
+  (meter.*add)(joules);
+  return was_alive && !meter.alive() && id != kSinkId && state_.up[id] != 0 &&
+                 tree_->attached(id)
+             ? 1
+             : 0;
 }
 
 void Network::SetPhase(PhaseId id) {
@@ -173,11 +201,14 @@ uint32_t Network::ApplyWaveDepthBudget(int depth_cap) {
 }
 
 size_t Network::AliveAttachedSensors() const {
+  if (counted_revision_ != 0 && counted_revision_ == tree_->revision()) return alive_attached_;
   size_t n = 0;
   for (size_t i = 1; i < state_.meters.size(); ++i) {
     auto id = static_cast<NodeId>(i);
     if (NodeAlive(id) && tree_->attached(id)) ++n;
   }
+  alive_attached_ = n;
+  counted_revision_ = tree_->revision();
   return n;
 }
 
@@ -193,8 +224,8 @@ int Network::PlannedAttempts(double ewma_loss) const {
 }
 
 bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
-                              size_t payload_bytes, util::Rng& loss_rng,
-                              TrafficCounters& delta) {
+                              size_t payload_bytes, util::Rng& loss_rng, TrafficCounters& delta,
+                              uint32_t& drained) {
   const ReliabilityOptions& rel = options_.reliability;
   size_t frames = options_.radio.FramesForPayload(payload_bytes);
   double link_loss = LinkLossProb(sender, receiver);
@@ -231,12 +262,12 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
       // The radio idles in receive mode while it waits out the backoff, so
       // the wait is charged at the rx draw (idle-listen energy).
       double idle_j = options_.energy.RxEnergy(1e-6 * static_cast<double>(backoff));
-      state_.meters[sender].AddRx(idle_j);
+      drained += Spend(sender, &EnergyMeter::AddRx, idle_j);
       delta.rx_energy_j += idle_j;
       delta.retries += 1;
       delta.backoff_us += backoff;
     }
-    ChargeTx(sender, payload_bytes, delta);
+    ChargeTx(sender, payload_bytes, delta, drained);
     bool lost = false;
     for (size_t f = 0; f < frames && !lost; ++f) {
       lost = loss_rng.NextBernoulli(link_loss);
@@ -244,7 +275,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
     est.ewma = rel.ewma_alpha * (lost ? 1.0 : 0.0) + (1.0 - rel.ewma_alpha) * est.ewma;
     if (!lost && NodeAlive(receiver)) {
       double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      state_.meters[receiver].AddRx(rx_j);
+      drained += Spend(receiver, &EnergyMeter::AddRx, rx_j);
       delta.rx_energy_j += rx_j;
       delivered = true;
     }
@@ -252,11 +283,12 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
   return delivered;
 }
 
-void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& counters) {
+void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& counters,
+                       uint32_t& drained) {
   const RadioModel& radio = options_.radio;
   double airtime = radio.AirtimeSeconds(payload_bytes);
   double tx_j = options_.energy.TxEnergy(airtime);
-  state_.meters[sender].AddTx(tx_j);
+  drained += Spend(sender, &EnergyMeter::AddTx, tx_j);
   state_.sent_by[sender] += 1;
   counters.messages += 1;
   counters.frames += radio.FramesForPayload(payload_bytes);
@@ -266,10 +298,10 @@ void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& cou
 }
 
 bool Network::UnicastToParentWith(NodeId child, size_t payload_bytes, util::Rng& loss_rng,
-                                  TrafficCounters& delta) {
+                                  TrafficCounters& delta, uint32_t& drained) {
   NodeId parent = tree_->parent(child);
   if (options_.reliability.enabled) {
-    return ReliableUnicast(child, parent, child, payload_bytes, loss_rng, delta);
+    return ReliableUnicast(child, parent, child, payload_bytes, loss_rng, delta, drained);
   }
   bool delivered = false;
   // Per-frame loss: the message survives an attempt only if every fragment does.
@@ -277,14 +309,14 @@ bool Network::UnicastToParentWith(NodeId child, size_t payload_bytes, util::Rng&
   double link_loss = LinkLossProb(child, parent);
   for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
     if (!NodeAlive(child)) break;
-    ChargeTx(child, payload_bytes, delta);
+    ChargeTx(child, payload_bytes, delta, drained);
     bool lost = false;
     for (size_t f = 0; f < frames && !lost; ++f) {
       lost = loss_rng.NextBernoulli(link_loss);
     }
     if (!lost && NodeAlive(parent)) {
       double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      state_.meters[parent].AddRx(rx_j);
+      drained += Spend(parent, &EnergyMeter::AddRx, rx_j);
       delta.rx_energy_j += rx_j;
       delivered = true;
     }
@@ -297,7 +329,9 @@ bool Network::UnicastToParent(NodeId child, size_t payload_bytes) {
   if (parent == kNoNode) return false;
   if (!NodeAlive(child)) return false;
   TrafficCounters delta;
-  bool delivered = UnicastToParentWith(child, payload_bytes, rng_, delta);
+  uint32_t drained = 0;
+  bool delivered = UnicastToParentWith(child, payload_bytes, rng_, delta, drained);
+  CommitDrained(drained);
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
   // backoff_us is zero unless the reliability layer waited out retries.
@@ -310,14 +344,15 @@ bool Network::LaneUnicastToParent(NodeId child, size_t payload_bytes, LaneSendEf
   NodeId parent = tree_->parent(child);
   if (parent == kNoNode) return false;
   if (!NodeAlive(child)) return false;
-  bool delivered =
-      UnicastToParentWith(child, payload_bytes, state_.node_rngs[child], fx->delta);
+  bool delivered = UnicastToParentWith(child, payload_bytes, state_.node_rngs[child], fx->delta,
+                                       fx->drained);
   fx->airtime = options_.radio.AirtimeMicros(payload_bytes) + fx->delta.backoff_us;
   fx->sent = true;
   return delivered;
 }
 
 void Network::CommitLaneSend(const LaneSendEffect& fx) {
+  CommitDrained(fx.drained);
   state_.total.Add(fx.delta);
   state_.by_phase[phase_id_].Add(fx.delta);
   clock_.AdvanceTo(clock_.now() + fx.airtime);
@@ -345,28 +380,31 @@ bool Network::UnicastDownPath(NodeId target, size_t payload_bytes) {
     NodeId receiver = path[i - 1];
     if (!NodeAlive(sender)) return false;
     TrafficCounters delta;
+    uint32_t drained = 0;
     bool delivered = false;
     if (options_.reliability.enabled) {
       // Down traffic shares the child-endpoint estimator slot with up traffic
       // (the link is the same; LinkLossProb is symmetric).
-      delivered = ReliableUnicast(sender, receiver, receiver, payload_bytes, rng_, delta);
+      delivered =
+          ReliableUnicast(sender, receiver, receiver, payload_bytes, rng_, delta, drained);
     } else {
       size_t frames = options_.radio.FramesForPayload(payload_bytes);
       double link_loss = LinkLossProb(sender, receiver);
       for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
-        ChargeTx(sender, payload_bytes, delta);
+        ChargeTx(sender, payload_bytes, delta, drained);
         bool lost = false;
         for (size_t f = 0; f < frames && !lost; ++f) {
           lost = rng_.NextBernoulli(link_loss);
         }
         if (!lost && NodeAlive(receiver)) {
           double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-          state_.meters[receiver].AddRx(rx_j);
+          drained += Spend(receiver, &EnergyMeter::AddRx, rx_j);
           delta.rx_energy_j += rx_j;
           delivered = true;
         }
       }
     }
+    CommitDrained(drained);
     state_.total.Add(delta);
     state_.by_phase[phase_id_].Add(delta);
     clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes) +
@@ -382,7 +420,8 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
   if (kids.empty()) return delivered;
   if (!NodeAlive(node)) return delivered;
   TrafficCounters delta;
-  ChargeTx(node, payload_bytes, delta);
+  uint32_t drained = 0;
+  ChargeTx(node, payload_bytes, delta, drained);
   size_t frames = options_.radio.FramesForPayload(payload_bytes);
   double rx_airtime = options_.radio.AirtimeSeconds(payload_bytes);
   for (NodeId child : kids) {
@@ -394,10 +433,11 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
     }
     // Listening children pay receive energy whether or not the CRC passes.
     double rx_j = options_.energy.RxEnergy(rx_airtime);
-    state_.meters[child].AddRx(rx_j);
+    drained += Spend(child, &EnergyMeter::AddRx, rx_j);
     delta.rx_energy_j += rx_j;
     if (!lost) delivered.push_back(child);
   }
+  CommitDrained(drained);
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
   clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
@@ -406,7 +446,7 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
 
 void Network::ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
                               double energy_j) {
-  state_.meters[node].AddStorage(energy_j);
+  CommitDrained(Spend(node, &EnergyMeter::AddStorage, energy_j));
   TrafficCounters delta;
   delta.flash_reads = reads;
   delta.flash_writes = writes;
@@ -418,9 +458,11 @@ void Network::ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint
 
 void Network::DeliverControl(NodeId from, NodeId to, size_t payload_bytes) {
   TrafficCounters delta;
-  ChargeTx(from, payload_bytes, delta);
+  uint32_t drained = 0;
+  ChargeTx(from, payload_bytes, delta, drained);
   double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-  state_.meters[to].AddRx(rx_j);
+  drained += Spend(to, &EnergyMeter::AddRx, rx_j);
+  CommitDrained(drained);
   delta.rx_energy_j += rx_j;
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);

@@ -162,14 +162,20 @@ class Network {
   /// (materialized from the interned-id array, keyed and ordered by label).
   std::map<std::string, TrafficCounters> by_phase() const;
 
-  /// Per-node energy ledger.
-  EnergyMeter& meter(NodeId id) { return state_.meters[id]; }
+  /// Per-node energy ledger. Charging a meter through the mutable overload
+  /// bypasses the network's battery-death bookkeeping, so taking it makes
+  /// the next AliveAttachedSensors() recount (do not hold the reference
+  /// across that call).
+  EnergyMeter& meter(NodeId id) {
+    counted_revision_ = 0;
+    return state_.meters[id];
+  }
   const EnergyMeter& meter(NodeId id) const { return state_.meters[id]; }
 
   /// Administrative up/down control (crash-fault injection). A node taken
   /// down neither sends nor receives until brought back up; its battery
   /// ledger is untouched, so crash and battery death stay distinguishable.
-  void SetNodeUp(NodeId id, bool up) { state_.up[id] = up ? 1 : 0; }
+  void SetNodeUp(NodeId id, bool up);
   /// True unless the node was administratively taken down.
   bool NodeUp(NodeId id) const { return state_.up[id] != 0; }
 
@@ -216,8 +222,12 @@ class Network {
   util::Rng& rng() { return rng_; }
 
   /// The whole per-epoch mutable state as a value (exposed for the shard
-  /// runtime and for state-snapshot tests).
-  ShardState& state() { return state_; }
+  /// runtime and for state-snapshot tests). Like the mutable meter(), the
+  /// mutable overload makes the next AliveAttachedSensors() recount.
+  ShardState& state() {
+    counted_revision_ = 0;
+    return state_;
+  }
   const ShardState& state() const { return state_; }
 
   /// The shard runtime driving this network's parallel waves, nullptr on the
@@ -251,7 +261,10 @@ class Network {
   uint32_t ApplyWaveDepthBudget(int depth_cap);
   /// Alive, tree-attached sensors (sink excluded): the population a complete
   /// epoch answer should have heard from — the denominator of
-  /// TopKResult::completeness. Pure read.
+  /// TopKResult::completeness. Every operator reads it every epoch, so it is
+  /// kept incrementally: SetNodeUp and battery deaths adjust it, and a tree
+  /// repair or replacement (a new RoutingTree::revision) makes the next call
+  /// recount in O(n). Serial sections only.
   size_t AliveAttachedSensors() const;
 
  private:
@@ -269,18 +282,32 @@ class Network {
   const std::string* phase_name_ = nullptr;
   /// Parallel-wave coordinator; non-owning, does not follow copies.
   ShardRuntime* shard_runtime_ = nullptr;
+  /// AliveAttachedSensors(), valid while counted_revision_ equals the tree's
+  /// revision (0 = recount on the next call).
+  mutable size_t alive_attached_ = 0;
+  mutable uint64_t counted_revision_ = 0;
 
-  void ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& counters);
+  /// Adds `joules` to `id`'s meter through `add` (AddTx, AddRx, ...).
+  /// Returns 1 when the charge emptied the battery of a sensor
+  /// AliveAttachedSensors counts, 0 otherwise. Lane-safe: it writes only
+  /// `id`'s meter.
+  uint32_t Spend(NodeId id, void (EnergyMeter::*add)(double), double joules);
+  /// Takes `drained` battery deaths off the alive-attached count. Serial.
+  void CommitDrained(uint32_t drained) { alive_attached_ -= drained; }
+  /// Charges one transmission to `sender`; `drained` as for Spend.
+  void ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& counters,
+                uint32_t& drained);
   /// The retry/loss/charge core shared by the serial and lane unicast paths;
-  /// `loss_rng` selects which stream pays the Bernoulli draws.
+  /// `loss_rng` selects which stream pays the Bernoulli draws, and battery
+  /// deaths accumulate into `drained` for the caller to commit.
   bool UnicastToParentWith(NodeId child, size_t payload_bytes, util::Rng& loss_rng,
-                           TrafficCounters& delta);
+                           TrafficCounters& delta, uint32_t& drained);
   /// Adaptive-ARQ unicast core (ReliabilityOptions::enabled): EWMA-scheduled
   /// attempts, exponential backoff charged as idle listening, per-epoch
   /// retry budget. `link_slot` is the child endpoint of the link (its
   /// LinkEstimator slot); safe in lanes for in-lane links.
   bool ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot, size_t payload_bytes,
-                       util::Rng& loss_rng, TrafficCounters& delta);
+                       util::Rng& loss_rng, TrafficCounters& delta, uint32_t& drained);
   /// Attempts the adaptive policy schedules for a link estimated at
   /// `ewma_loss`: the smallest A with ewma^A <= residual_target, in
   /// [1, reliability.max_retries + 1]. Deterministic.

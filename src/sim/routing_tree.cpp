@@ -1,6 +1,7 @@
 #include "sim/routing_tree.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <utility>
 
@@ -149,6 +150,8 @@ RoutingTree RoutingTree::FromParents(std::vector<NodeId> parents) {
 }
 
 void RoutingTree::FinishConstruction() {
+  static std::atomic<uint64_t> next_revision{1};
+  revision_ = next_revision.fetch_add(1, std::memory_order_relaxed);
   size_t n = parents_.size();
   // Clear-in-place instead of assign: repeated repairs (churn) keep the
   // per-node children capacity instead of reallocating every pass.

@@ -132,6 +132,12 @@ class RoutingTree {
   /// Number of nodes.
   size_t num_nodes() const { return parents_.size(); }
 
+  /// Identifies the tree's current shape: a process-wide unique stamp taken
+  /// by every build and every Repair pass (0 for a default-constructed tree).
+  /// Copies share it, so equal revisions mean equal trees — how the network
+  /// tells that its cached alive-attached count is still current.
+  uint64_t revision() const { return revision_; }
+
   /// Nodes in post order (every node after all of its children): the order in
   /// which the TAG epoch schedule fires transmissions, leaves first.
   const std::vector<NodeId>& post_order() const { return post_order_; }
@@ -160,6 +166,7 @@ class RoutingTree {
   std::vector<NodeId> wave_order_;
   std::vector<uint8_t> attached_;
   int max_depth_ = 0;
+  uint64_t revision_ = 0;
 
   void FinishConstruction();
 };

@@ -113,6 +113,9 @@ struct LaneSendEffect {
   TrafficCounters delta;
   TimeUs airtime = 0;
   bool sent = false;  ///< True when any attempt was charged (delta is live).
+  /// Counted sensors (Network::AliveAttachedSensors) whose battery this
+  /// send emptied; the commit takes them off the count.
+  uint32_t drained = 0;
 };
 
 }  // namespace kspot::sim

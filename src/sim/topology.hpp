@@ -27,6 +27,11 @@ inline double SquaredDistance(const Position& a, const Position& b) {
 /// Euclidean distance between two positions.
 double Distance(const Position& a, const Position& b);
 
+/// Largest room id. Room ids lie in [0, kMaxRoomId]: the view codec carries
+/// the group in a u16 field, and MINT's per-group cardinality table is a
+/// dense vector indexed by room id.
+inline constexpr GroupId kMaxRoomId = 65535;
+
 /// Static description of a deployment: node positions, the room (cluster) each
 /// node belongs to, and the radio communication range. Node 0 is the sink and
 /// by convention carries no sensor of its own (it is the MIB520 base station).
@@ -43,7 +48,8 @@ class Topology {
   Topology() = default;
 
   /// Creates a topology from explicit positions and room assignments.
-  /// `rooms[i]` is the GROUP BY group of node i; the sink's entry is ignored.
+  /// `rooms[i]` is the GROUP BY group of node i, in [0, kMaxRoomId]; the
+  /// sink's entry is ignored.
   Topology(std::vector<Position> positions, std::vector<GroupId> rooms, double comm_range);
 
   /// Number of nodes including the sink.
@@ -58,7 +64,8 @@ class Topology {
   /// Room (cluster) of node `id`.
   GroupId room(NodeId id) const { return rooms_[id]; }
 
-  /// Mutable room assignment (used by scenario configuration).
+  /// Mutable room assignment (used by scenario configuration); `room` must
+  /// lie in [0, kMaxRoomId].
   void set_room(NodeId id, GroupId room) { rooms_[id] = room; }
 
   /// Radio communication range in meters (disc connectivity model).

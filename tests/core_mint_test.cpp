@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "core/mint.hpp"
 #include "core/oracle.hpp"
 #include "core/tag.hpp"
+#include "fault/churn_engine.hpp"
+#include "sim/shard_runtime.hpp"
 #include "test_util.hpp"
+#include "util/fixed_point.hpp"
 
 namespace kspot::core {
 namespace {
@@ -223,6 +229,181 @@ TEST(MintTest, SuppressionSilencesBoringSubtrees) {
   // The first update epoch did transmit (the tombstones), so suppression is
   // doing the work, not a dead network.
   EXPECT_GT(bed.net->PhaseTotal("mint.update").messages, 0u);
+}
+
+// --------------------------------------------------------- pinned digests
+//
+// MINT keeps per-group cardinalities (n_g at the sink, c_g at every node) in
+// flat tables indexed or sorted by group id. These digests pin answers and
+// per-phase traffic on the cases those tables must get right: sparse room
+// ids up to the codec's u16 limit, node grouping (a c_g entry per
+// descendant), every aggregate kind, transient loss (counts max-merged over
+// full waves) and incremental churn repair (counts re-derived over the
+// survivors). Sharded lanes must reproduce the serial digests exactly.
+
+/// FNV-1a accumulator.
+struct Fnv {
+  uint64_t h = 1469598103934665603ULL;
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+/// One pinned run: `epochs` MINT epochs (with churn when `plan` has events),
+/// digesting every answer and, at the end, every phase's integer counters.
+struct DigestRun {
+  QuerySpec spec;
+  MintViews::Options options;
+  fault::FaultPlan plan;
+  size_t shards = 1;
+  sim::Epoch epochs = 40;
+  /// When set, every answer must also equal the oracle's over the alive,
+  /// attached population (lossless runs).
+  bool check_oracle = true;
+};
+
+uint64_t MintDigest(TestBed& bed, const std::function<std::unique_ptr<data::DataGenerator>()>& gen,
+                    const DigestRun& run, int* incremental_repairs = nullptr) {
+  std::unique_ptr<sim::ShardRuntime> rt;
+  if (run.shards > 1) {
+    rt = std::make_unique<sim::ShardRuntime>(bed.net.get(),
+                                             sim::ShardRuntime::Options{run.shards, 2});
+    EXPECT_TRUE(rt->ShouldShard());
+  }
+  auto data = gen();
+  auto oracle_data = gen();
+  MintViews mint(bed.net.get(), data.get(), run.spec, run.options);
+  Oracle oracle(&bed.topology, oracle_data.get(), run.spec);
+  fault::ChurnEngine churn(bed.net.get(), &bed.tree, run.plan);
+  Fnv fnv;
+  for (sim::Epoch e = 0; e < run.epochs; ++e) {
+    fault::ChurnReport report = churn.BeginEpoch(e);
+    if (report.topology_changed) mint.OnTopologyChanged(report.delta);
+    TopKResult got = mint.RunEpoch(e);
+    if (run.check_oracle) {
+      TopKResult want = oracle.TopKOver(
+          e, [&](sim::NodeId id) { return bed.net->NodeAlive(id) && bed.tree.attached(id); });
+      EXPECT_TRUE(got.Matches(want)) << "epoch " << e << "\ngot:\n"
+                                     << got.ToString() << "want:\n" << want.ToString();
+    }
+    fnv.Mix(got.items.size());
+    for (const agg::RankedItem& item : got.items) {
+      fnv.Mix(static_cast<uint64_t>(static_cast<uint32_t>(item.group)));
+      fnv.Mix(static_cast<uint64_t>(util::fixed_point::Encode(item.value)));
+    }
+  }
+  for (const auto& [name, counters] : bed.net->by_phase()) {
+    for (char c : name) fnv.Mix(static_cast<uint8_t>(c));
+    fnv.Mix(counters.messages);
+    fnv.Mix(counters.payload_bytes);
+  }
+  if (incremental_repairs != nullptr) *incremental_repairs = mint.incremental_repair_count();
+  return fnv.h;
+}
+
+std::function<std::unique_ptr<data::DataGenerator>()> RoomData(const sim::Topology& topology,
+                                                               uint64_t seed) {
+  std::vector<sim::GroupId> rooms;
+  for (sim::NodeId id = 0; id < topology.num_nodes(); ++id) rooms.push_back(topology.room(id));
+  return [rooms, seed] {
+    return std::make_unique<data::RoomCorrelatedGenerator>(
+        rooms, data::Modality::kSound, 1.5, 1.0, util::Rng(seed), /*global_sigma=*/1.0,
+        /*quantize_step=*/1.0);
+  };
+}
+
+TEST(MintDigestTest, SparseRoomIdsUpToTheCodecLimit) {
+  const sim::GroupId kSparse[] = {0, 7, 300, 65535};
+  for (size_t shards : {1, 4}) {
+    auto bed = TestBed::Clustered(100, 4, 307);
+    for (sim::NodeId id = 1; id < bed.topology.num_nodes(); ++id) {
+      bed.topology.set_room(id, kSparse[bed.topology.room(id) % 4]);
+    }
+    DigestRun run;
+    run.spec = SoundSpec(2);
+    run.shards = shards;
+    EXPECT_EQ(MintDigest(bed, RoomData(bed.topology, 11), run), 0xb6bb99c019398e94ULL) << shards << " shards";
+  }
+}
+
+TEST(MintDigestTest, NodeGroupingKeepsOneCountPerDescendant) {
+  for (size_t shards : {1, 4}) {
+    auto bed = TestBed::Clustered(81, 6, 311);
+    DigestRun run;
+    run.spec = SoundSpec(3, agg::AggKind::kAvg, Grouping::kNode);
+    run.shards = shards;
+    auto gen = [] {
+      return std::make_unique<data::RandomWalkGenerator>(81, data::Modality::kSound, 0.8,
+                                                         util::Rng(13), /*quantize_step=*/1.0);
+    };
+    EXPECT_EQ(MintDigest(bed, gen, run), 0xd9fa277497577013ULL) << shards << " shards";
+  }
+}
+
+TEST(MintDigestTest, EveryAggregateKind) {
+  const std::pair<agg::AggKind, uint64_t> kPins[] = {
+      {agg::AggKind::kMin, 0x24d423bf790eadaaULL},
+      {agg::AggKind::kMax, 0x4190487ee4c7c925ULL},
+      {agg::AggKind::kSum, 0x1649020f1e083d4cULL},
+      {agg::AggKind::kCount, 0xe15ae7f04b96f3fcULL},
+  };
+  for (const auto& [kind, pin] : kPins) {
+    auto bed = TestBed::Clustered(90, 6, 313);
+    DigestRun run;
+    run.spec = SoundSpec(2, kind);
+    run.epochs = 30;
+    EXPECT_EQ(MintDigest(bed, RoomData(bed.topology, 17), run), pin) << agg::AggKindName(kind);
+  }
+}
+
+TEST(MintDigestTest, LossyLinksMaxMergeCardinalities) {
+  // Volatile rooms under 10% loss: frequent probe/repair rounds re-record
+  // counts a lossy earlier wave under-counted or missed.
+  sim::NetworkOptions opt;
+  opt.loss_prob = 0.1;
+  auto bed = TestBed::Clustered(90, 6, 317, opt);
+  std::vector<sim::GroupId> rooms;
+  for (sim::NodeId id = 0; id < bed.topology.num_nodes(); ++id) rooms.push_back(bed.topology.room(id));
+  auto gen = [rooms] {
+    return std::make_unique<data::RoomCorrelatedGenerator>(
+        rooms, data::Modality::kSound, 6.0, 2.0, util::Rng(7), /*global_sigma=*/4.0,
+        /*quantize_step=*/1.0);
+  };
+  DigestRun run;
+  run.spec = SoundSpec(2);
+  run.epochs = 60;
+  run.check_oracle = false;  // best-effort under loss
+  EXPECT_EQ(MintDigest(bed, gen, run), 0x272967a296821bd1ULL);
+}
+
+TEST(MintDigestTest, IncrementalChurnRepairRecountsCardinalities) {
+  for (size_t shards : {1, 4}) {
+    auto bed = TestBed::Clustered(120, 8, 331);
+    // Crash relay nodes so whole subtrees re-attach, then bring them back.
+    std::vector<sim::NodeId> relays;
+    for (sim::NodeId id = 1; id < bed.tree.num_nodes(); ++id) {
+      if (!bed.tree.children(id).empty()) relays.push_back(id);
+    }
+    ASSERT_GE(relays.size(), 6u);
+    DigestRun run;
+    run.spec = SoundSpec(3);
+    run.shards = shards;
+    run.epochs = 50;
+    run.plan.seed = 331;
+    run.plan.events = {{5, fault::FaultEvent::Kind::kCrash, relays[1], 0.0},
+                       {9, fault::FaultEvent::Kind::kCrash, relays[3], 0.0},
+                       {14, fault::FaultEvent::Kind::kRecover, relays[1], 0.0},
+                       {22, fault::FaultEvent::Kind::kCrash, relays[5], 0.0},
+                       {30, fault::FaultEvent::Kind::kRecover, relays[3], 0.0},
+                       {38, fault::FaultEvent::Kind::kRecover, relays[5], 0.0}};
+    int incremental = 0;
+    EXPECT_EQ(MintDigest(bed, RoomData(bed.topology, 23), run, &incremental), 0xe009160a30ae9dc2ULL)
+        << shards << " shards";
+    EXPECT_GT(incremental, 0);
+  }
 }
 
 }  // namespace

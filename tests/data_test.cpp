@@ -5,6 +5,8 @@
 #include "data/generators.hpp"
 #include "data/modality.hpp"
 #include "data/windowed.hpp"
+#include "kspot/scenario_config.hpp"
+#include "sim/topology.hpp"
 #include "util/fixed_point.hpp"
 #include "util/rng.hpp"
 
@@ -106,6 +108,49 @@ TEST(RoomCorrelatedGeneratorTest, NodesInSameRoomCorrelate) {
     across += std::abs(gen.Value(1, e) - gen.Value(6, e));
   }
   EXPECT_LT(within, across);
+}
+
+/// FNV-1a over the fixed-point encoding of every reading of nodes [0, n) for
+/// epochs [0, epochs), in epoch-major order.
+uint64_t ReadingsDigest(DataGenerator& gen, size_t n, sim::Epoch epochs) {
+  uint64_t h = 1469598103934665603ULL;
+  for (sim::Epoch e = 0; e < epochs; ++e) {
+    gen.PrepareEpoch(e);
+    for (sim::NodeId id = 0; id < n; ++id) {
+      auto v = static_cast<uint32_t>(util::fixed_point::Encode(gen.Value(id, e)));
+      for (int i = 0; i < 4; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+std::vector<sim::GroupId> RoomsOf(const sim::Topology& topology) {
+  std::vector<sim::GroupId> rooms;
+  for (sim::NodeId id = 0; id < topology.num_nodes(); ++id) rooms.push_back(topology.room(id));
+  return rooms;
+}
+
+// Pins 200 epochs of the room-correlated reading stream. Every epoch the
+// room walk draws one Gaussian per room, in an order fixed at construction
+// that is not ascending by room id; these digests catch any change to that
+// order, to the per-node room lookup or to the draw sequence.
+TEST(RoomCorrelatedGeneratorTest, ReadingStreamPinnedOnManyRooms) {
+  sim::TopologyOptions topt;
+  topt.num_nodes = 640;
+  topt.num_rooms = 64;
+  sim::Topology grid = sim::MakeGrid(topt);
+  ASSERT_EQ(grid.DistinctRooms().size(), 64u);
+  RoomCorrelatedGenerator grid_gen(RoomsOf(grid), Modality::kSound, 1.5, 0.5, util::Rng(91),
+                                   /*global_sigma=*/0.8);
+  EXPECT_EQ(ReadingsDigest(grid_gen, grid.num_nodes(), 200), 0x80714c72f19f1e10ULL);
+
+  sim::Topology floor = system::Scenario::ConferenceFloor(12, 9, 5).BuildTopology();
+  RoomCorrelatedGenerator floor_gen(RoomsOf(floor), Modality::kSound, 2.0, 1.0, util::Rng(93),
+                                    /*global_sigma=*/3.0, /*quantize_step=*/1.0);
+  EXPECT_EQ(ReadingsDigest(floor_gen, floor.num_nodes(), 200), 0x4e64fd458987d55aULL);
 }
 
 TEST(SpikeGeneratorTest, SpikesAppearAtRoughlyTheConfiguredRate) {

@@ -41,6 +41,27 @@ TEST(ScenarioTest, RejectsMalformedInput) {
   EXPECT_FALSE(Scenario::Load("/nonexistent/path.kcfg").ok());
 }
 
+TEST(ScenarioTest, RejectsRoomIdsOutsideU16WithLineNumber) {
+  for (const char* room : {"-1", "65536"}) {
+    std::string node_text = std::string("node 0 0 0 0\nnode 1 1 1 ") + room + "\n";
+    auto node = Scenario::FromText(node_text);
+    ASSERT_FALSE(node.ok()) << room;
+    EXPECT_NE(node.status().message().find("scenario line 2"), std::string::npos)
+        << node.status().message();
+    EXPECT_NE(node.status().message().find(room), std::string::npos)
+        << node.status().message();
+    auto cluster = Scenario::FromText(std::string("cluster ") + room + " hall\nnode 0 0 0 0\n");
+    ASSERT_FALSE(cluster.ok()) << room;
+    EXPECT_NE(cluster.status().message().find("scenario line 1"), std::string::npos)
+        << cluster.status().message();
+  }
+  // Both ends of the range are accepted.
+  auto edges = Scenario::FromText("cluster 65535 top\nnode 0 0 0 0\nnode 1 1 1 0\n"
+                                  "node 2 2 2 65535\n");
+  ASSERT_TRUE(edges.ok()) << edges.status().message();
+  EXPECT_EQ(edges.value().nodes[2].room, 65535);
+}
+
 TEST(ScenarioTest, BuildTopologyMapsRooms) {
   Scenario s = Scenario::Figure1();
   sim::Topology t = s.BuildTopology();
