@@ -90,11 +90,8 @@ uint32_t& MintViews::TotalSlot(sim::GroupId g) {
 agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId phase) {
   using Msg = agg::GroupView;
   net_->SetPhase(phase);
-  gen_->PrepareEpoch(epoch);  // prime serially; Value() is a pure read below
-  // Lane-aware (third argument): every write lands in the visited node's own
-  // slots, so shard lanes over disjoint subtrees never contend.
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
-                     size_t /*lane*/) -> std::optional<Msg> {
+  gen_->PrepareEpoch(epoch);
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     Msg view;
     for (Msg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {
@@ -232,29 +229,18 @@ void MintViews::PruneView(sim::NodeId node, agg::GroupView& view) const {
 agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
   using Msg = Delta;
   net_->SetPhase(kPhaseUpdate);
-  gen_->PrepareEpoch(epoch);  // prime serially; Value() is a pure read below
-  // Scratch views sized for the wave before it launches (resizing inside a
-  // concurrent lane would race); one entry serves the serial path.
-  size_t lanes = 1;
-  if (sim::ShardRuntime* rt = net_->shard_runtime(); rt != nullptr && rt->ShouldShard()) {
-    lanes = rt->lane_count();
-  }
-  if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
-  if (lane_deltas_.size() < lanes) lane_deltas_.resize(lanes);
-  // Lane-aware (third argument): caches are written only for the visited
-  // node and its own children, which live in the same shard lane.
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
-                     size_t lane) -> std::optional<Msg> {
+  gen_->PrepareEpoch(epoch);
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     // Apply the children's deltas to their cached views, then recycle them.
     for (Msg& delta : inbox) {
       agg::GroupView& cache = child_view_[delta.from];
       for (auto& [g, partial] : delta.changed) cache.Set(g, partial);
       for (sim::GroupId g : delta.removed) cache.Erase(g);
-      lane_deltas_[delta.lane].push_back(std::move(delta));
+      free_deltas_.push_back(std::move(delta));
     }
     // Rebuild this node's view from the cached child views + own reading,
-    // into per-lane scratch reused across nodes and epochs.
-    agg::GroupView& view = lane_scratch_[lane];
+    // into scratch reused across nodes and epochs.
+    agg::GroupView& view = update_scratch_;
     view.clear();
     for (sim::NodeId child : net_->tree().children(node)) view.MergeView(child_view_[child]);
     if (node == sim::kSinkId) {
@@ -267,16 +253,14 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     PruneView(node, view);
     // Delta against what the parent believes (the Update Phase proper):
     // both sides are sorted by group, so the diff is one linear walk.
-    std::vector<Msg>& free_deltas = lane_deltas_[lane];
     Msg delta;
-    if (!free_deltas.empty()) {
-      delta = std::move(free_deltas.back());
-      free_deltas.pop_back();
+    if (!free_deltas_.empty()) {
+      delta = std::move(free_deltas_.back());
+      free_deltas_.pop_back();
       delta.changed.clear();
       delta.removed.clear();
     }
     delta.from = node;
-    delta.lane = lane;
     const auto& cur = view.entries();
     const auto& sent = last_sent_[node].entries();
     if (options_.delta_updates) {
@@ -304,7 +288,7 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     }
     if (delta.changed.empty() && delta.removed.empty()) {
       // Nothing changed: the parent's cached V'_i is still current.
-      free_deltas.push_back(std::move(delta));
+      free_deltas_.push_back(std::move(delta));
       return std::nullopt;
     }
     last_sent_[node] = view;

@@ -116,10 +116,9 @@ class MintViews : public EpochAlgorithm {
  private:
   /// One delta update: entries that changed plus groups that disappeared.
   /// Deltas are recycled: once the parent has applied one, it goes back,
-  /// buffers and all, to the free list of the shard lane that built it.
+  /// buffers and all, to the update wave's free list.
   struct Delta {
     sim::NodeId from = sim::kNoNode;
-    size_t lane = 0;
     std::vector<std::pair<sim::GroupId, agg::PartialAgg>> changed;
     std::vector<sim::GroupId> removed;
   };
@@ -156,17 +155,12 @@ class MintViews : public EpochAlgorithm {
   /// Per node: cached views of its children, maintained from deltas.
   std::vector<agg::GroupView> child_view_;
 
-  /// Reusable wave state (inboxes, scratch views, delta free lists) —
-  /// allocated once, reused every epoch. The update wave's scratch view and
-  /// delta free list are per lane so concurrent shard lanes never share them
-  /// (one entry on the serial path); they are pre-sized before the wave
-  /// launches, never resized inside it. A delta built in lane L returns to
-  /// list L: its parent runs in L, or is the sink, which runs after every
-  /// lane has finished.
+  /// Reusable wave state (inboxes, the update wave's scratch view and delta
+  /// free list) — allocated once, reused every epoch.
   sim::UpWave<agg::GroupView>::Workspace full_wave_ws_;
   sim::UpWave<Delta>::Workspace update_wave_ws_;
-  std::vector<agg::GroupView> lane_scratch_;
-  std::vector<std::vector<Delta>> lane_deltas_;
+  agg::GroupView update_scratch_;
+  std::vector<Delta> free_deltas_;
   agg::GroupView sink_view_;
 
   /// Threshold in force at the nodes (last broadcast), with margin applied.

@@ -25,9 +25,10 @@ class DataGenerator {
 
   /// Advances the generator's stochastic process to `epoch` so that
   /// subsequent `Value(_, epoch)` calls are pure cache reads. Stateful
-  /// generators mutate on the first Value() of a new epoch; a sharded wave
-  /// calls Value() concurrently, so algorithms prime the epoch serially
-  /// (before launching lanes) through this hook. Calling it is always safe —
+  /// generators mutate on the first Value() of a new epoch; algorithms call
+  /// this hook once before each wave, so an epoch's generation work happens
+  /// in one place outside the per-node loop (where a wrapping generator can
+  /// time it as the data-generation layer). Calling it is always safe —
   /// it performs exactly the mutation the first Value() would have, so the
   /// serial draw order is unchanged — and the default is a no-op for
   /// stateless generators.

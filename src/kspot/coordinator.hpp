@@ -30,9 +30,9 @@ struct AdmitOptions {
   int period = 1;
   /// Execution priority: within an epoch, groups step in descending
   /// max-member-priority order (ties keep operator creation order, which is
-  /// admission order). Under loss the shared per-node RNG substreams are
-  /// consumed in execution order, so changing priorities may change realized
-  /// losses; the all-default ordering is the batch Run() ordering.
+  /// admission order). Under loss the network's shared loss RNG is consumed
+  /// in execution order, so changing priorities may change realized losses;
+  /// the all-default ordering is the batch Run() ordering.
   int priority = 0;
 };
 
@@ -194,7 +194,8 @@ class QueryCoordinator {
 
   /// Opens a session: builds the shared data plane (tree copy, network,
   /// generator, churn engine), binds every admitted query to its operator
-  /// group and runs one-shot historic (TJA) queries. Error if already open.
+  /// group and runs one-shot historic (TJA) queries. Error if already open,
+  /// or if DeploymentConfig::shards is not 1.
   util::Status Open();
   /// True between Open() and Close().
   bool session_open() const;

@@ -70,15 +70,10 @@ struct DeploymentConfig {
   /// walk.
   std::function<std::unique_ptr<data::DataGenerator>(const Scenario&, uint64_t seed)>
       make_generator;
-  /// Shard lanes for parallel epoch execution inside one deployment: the
-  /// routing tree is cut at its cluster-head subtrees and lanes run
-  /// concurrently, merged deterministically at each epoch boundary. Results
-  /// are bit-identical to the serial path for any value; 1 (the default)
-  /// keeps serial execution with no runtime attached.
+  /// Every epoch runs one serial wave, so 1 is the only accepted value;
+  /// QueryCoordinator::Open() rejects any other. Kept only so existing
+  /// callers that assign 1 still compile.
   size_t shards = 1;
-  /// Worker threads for sharded execution; 0 picks hardware concurrency.
-  /// (Results do not depend on this — only wall-clock does.)
-  size_t shard_threads = 0;
   /// Observability (src/obs): turn on the process-global metrics registry /
   /// span tracer when this session opens. One-way — opening a session never
   /// forces them off (the KSPOT_OBS env var or another session may hold them

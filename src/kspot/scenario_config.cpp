@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
@@ -62,6 +63,9 @@ util::StatusOr<Scenario> Scenario::FromText(const std::string& text) {
     return fail("room id " + std::to_string(room) + " outside [0, " +
                 std::to_string(sim::kMaxRoomId) + "]");
   };
+  // kNoNode is the "no node" sentinel, so it is not a valid id either; an
+  // unchecked cast would wrap out-of-range ids onto real ones (the sink).
+  std::unordered_set<sim::NodeId> node_ids;
   while (std::getline(iss, line)) {
     ++lineno;
     std::string_view trimmed = util::Trim(line);
@@ -90,7 +94,14 @@ util::StatusOr<Scenario> Scenario::FromText(const std::string& text) {
       long id, room;
       if (!(ls >> id >> n.x >> n.y >> room)) return fail("node needs <id> <x> <y> <room>");
       if (!room_in_range(room)) return bad_room(room);
+      if (id < 0 || id >= static_cast<long>(sim::kNoNode)) {
+        return fail("node id " + std::to_string(id) + " outside [0, " +
+                    std::to_string(sim::kNoNode) + ")");
+      }
       n.id = static_cast<sim::NodeId>(id);
+      if (!node_ids.insert(n.id).second) {
+        return fail("duplicate node id " + std::to_string(id));
+      }
       n.room = static_cast<sim::GroupId>(room);
       s.nodes.push_back(n);
     } else {

@@ -53,7 +53,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (e.g. the shard-lane imbalance ratio).
+/// Last-write-wins instantaneous value.
 class Gauge {
  public:
   void Set(double v) {
@@ -70,7 +70,7 @@ class Gauge {
 /// two over [2^(kMinExp-1), 2^(kMaxExp-1)), i.e. ~5e-4 .. 5.6e14, which
 /// covers sub-microsecond spans through multi-day totals with <= 1/kSubBuckets
 /// relative bucket width. Observe is a frexp plus a few relaxed atomic RMWs —
-/// safe from concurrent shard lanes and TSan-clean. Snapshot() interpolates
+/// safe from parallel experiment trials and TSan-clean. Snapshot() interpolates
 /// p50/p95/p99 inside the target bucket and clamps them to the observed
 /// min/max, reusing util::DistSummary as the output shape.
 class Histogram {

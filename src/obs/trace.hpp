@@ -29,9 +29,9 @@ struct TraceSpan {
 ///
 /// Recording takes a mutex: spans are produced at wave/epoch granularity —
 /// a handful per epoch, never per message — so contention is negligible and
-/// the recorder stays TSan-clean when shard lanes record concurrently. When
-/// the ring is full the oldest spans are overwritten (dropped() counts them);
-/// a trace is a tail window, not an unbounded log.
+/// the recorder stays TSan-clean when parallel experiment trials record
+/// concurrently. When the ring is full the oldest spans are overwritten
+/// (dropped() counts them); a trace is a tail window, not an unbounded log.
 class Tracer {
  public:
   static constexpr size_t kDefaultCapacity = size_t{1} << 16;

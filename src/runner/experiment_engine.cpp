@@ -48,7 +48,6 @@ ScenarioRun ExperimentEngine::Run(const Scenario& scenario) const {
   SweepOptions sweep;
   sweep.quick = options_.quick;
   sweep.seed = options_.seed;
-  sweep.shards = options_.shards;
   std::vector<Trial> trials = scenario.make_trials(sweep);
 
   run.trials.resize(trials.size());

@@ -38,15 +38,13 @@ struct ScenarioRun {
 /// Fans a scenario's trials out over a util::TaskPool. Each trial owns its
 /// state (Rng, Network, generators are built inside Trial::run), so metric
 /// results are a pure function of the trial spec: the engine guarantees
-/// byte-identical metrics for any thread count (and, via SweepOptions::
-/// shards, for any shard count inside each trial).
+/// byte-identical metrics for any thread count.
 class ExperimentEngine {
  public:
   struct Options {
     size_t threads = 1;  ///< 0 = hardware concurrency.
     bool quick = false;
     uint64_t seed = 0;   ///< 0 = scenario default seed.
-    size_t shards = 1;   ///< Shard lanes inside each trial (see SweepOptions).
   };
 
   explicit ExperimentEngine(Options options);

@@ -43,12 +43,6 @@ struct SweepOptions {
   /// 0 keeps the scenario's published default seed; anything else re-bases
   /// the whole sweep on a caller-chosen seed.
   uint64_t seed = 0;
-  /// Shard lanes for parallel epoch execution inside each trial's
-  /// deployment (1 = serial). Scenarios that drive converge-cast epochs pass
-  /// this through to their network's ShardRuntime; metric results are
-  /// invariant to it by construction (pinned by golden_equivalence_test), so
-  /// it is a pure throughput knob and is deliberately NOT a trial parameter.
-  size_t shards = 1;
 };
 
 /// A named, parameterized experiment: the unit the registry stores and the

@@ -53,37 +53,6 @@ Network::Network(const Topology* topology, const RoutingTree* tree, NetworkOptio
   SetPhase(kDefaultPhase);
 }
 
-Network::Network(const Network& other)
-    : topology_(other.topology_),
-      tree_(other.tree_),
-      options_(other.options_),
-      rng_(other.rng_),
-      clock_(other.clock_),
-      state_(other.state_),
-      phase_id_(other.phase_id_),
-      phase_name_(other.phase_name_),
-      alive_attached_(other.alive_attached_),
-      counted_revision_(other.counted_revision_) {
-  // A shard runtime is bound to the object it was attached to; the copy
-  // starts serial.
-}
-
-Network& Network::operator=(const Network& other) {
-  if (this == &other) return *this;
-  topology_ = other.topology_;
-  tree_ = other.tree_;
-  options_ = other.options_;
-  rng_ = other.rng_;
-  clock_ = other.clock_;
-  state_ = other.state_;
-  phase_id_ = other.phase_id_;
-  phase_name_ = other.phase_name_;
-  shard_runtime_ = nullptr;
-  alive_attached_ = other.alive_attached_;
-  counted_revision_ = other.counted_revision_;
-  return *this;
-}
-
 void Network::SetNodeUp(NodeId id, bool up) {
   uint8_t flag = up ? 1 : 0;
   if (state_.up[id] == flag) return;
@@ -224,8 +193,7 @@ int Network::PlannedAttempts(double ewma_loss) const {
 }
 
 bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
-                              size_t payload_bytes, util::Rng& loss_rng, TrafficCounters& delta,
-                              uint32_t& drained) {
+                              size_t payload_bytes, TrafficCounters& delta, uint32_t& drained) {
   const ReliabilityOptions& rel = options_.reliability;
   size_t frames = options_.radio.FramesForPayload(payload_bytes);
   double link_loss = LinkLossProb(sender, receiver);
@@ -270,7 +238,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
     ChargeTx(sender, payload_bytes, delta, drained);
     bool lost = false;
     for (size_t f = 0; f < frames && !lost; ++f) {
-      lost = loss_rng.NextBernoulli(link_loss);
+      lost = rng_.NextBernoulli(link_loss);
     }
     est.ewma = rel.ewma_alpha * (lost ? 1.0 : 0.0) + (1.0 - rel.ewma_alpha) * est.ewma;
     if (!lost && NodeAlive(receiver)) {
@@ -297,65 +265,49 @@ void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& cou
   counters.tx_energy_j += tx_j;
 }
 
-bool Network::UnicastToParentWith(NodeId child, size_t payload_bytes, util::Rng& loss_rng,
-                                  TrafficCounters& delta, uint32_t& drained) {
-  NodeId parent = tree_->parent(child);
-  if (options_.reliability.enabled) {
-    return ReliableUnicast(child, parent, child, payload_bytes, loss_rng, delta, drained);
-  }
+void Network::Commit(const TrafficCounters& delta, uint32_t drained, TimeUs airtime_us) {
+  alive_attached_ -= drained;
+  state_.total.Add(delta);
+  state_.by_phase[phase_id_].Add(delta);
+  clock_.AdvanceTo(clock_.now() + airtime_us);
+}
+
+bool Network::UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot,
+                         size_t payload_bytes) {
+  if (!NodeAlive(sender)) return false;
+  TrafficCounters delta;
+  uint32_t drained = 0;
   bool delivered = false;
-  // Per-frame loss: the message survives an attempt only if every fragment does.
-  size_t frames = options_.radio.FramesForPayload(payload_bytes);
-  double link_loss = LinkLossProb(child, parent);
-  for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
-    if (!NodeAlive(child)) break;
-    ChargeTx(child, payload_bytes, delta, drained);
-    bool lost = false;
-    for (size_t f = 0; f < frames && !lost; ++f) {
-      lost = loss_rng.NextBernoulli(link_loss);
-    }
-    if (!lost && NodeAlive(parent)) {
-      double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      drained += Spend(parent, &EnergyMeter::AddRx, rx_j);
-      delta.rx_energy_j += rx_j;
-      delivered = true;
+  if (options_.reliability.enabled) {
+    delivered = ReliableUnicast(sender, receiver, link_slot, payload_bytes, delta, drained);
+  } else {
+    // Per-frame loss: the message survives an attempt only if every fragment does.
+    size_t frames = options_.radio.FramesForPayload(payload_bytes);
+    double link_loss = LinkLossProb(sender, receiver);
+    for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
+      if (!NodeAlive(sender)) break;
+      ChargeTx(sender, payload_bytes, delta, drained);
+      bool lost = false;
+      for (size_t f = 0; f < frames && !lost; ++f) {
+        lost = rng_.NextBernoulli(link_loss);
+      }
+      if (!lost && NodeAlive(receiver)) {
+        double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
+        drained += Spend(receiver, &EnergyMeter::AddRx, rx_j);
+        delta.rx_energy_j += rx_j;
+        delivered = true;
+      }
     }
   }
+  // backoff_us is zero unless the reliability layer waited out retries.
+  Commit(delta, drained, options_.radio.AirtimeMicros(payload_bytes) + delta.backoff_us);
   return delivered;
 }
 
 bool Network::UnicastToParent(NodeId child, size_t payload_bytes) {
   NodeId parent = tree_->parent(child);
   if (parent == kNoNode) return false;
-  if (!NodeAlive(child)) return false;
-  TrafficCounters delta;
-  uint32_t drained = 0;
-  bool delivered = UnicastToParentWith(child, payload_bytes, rng_, delta, drained);
-  CommitDrained(drained);
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
-  // backoff_us is zero unless the reliability layer waited out retries.
-  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes) +
-                    delta.backoff_us);
-  return delivered;
-}
-
-bool Network::LaneUnicastToParent(NodeId child, size_t payload_bytes, LaneSendEffect* fx) {
-  NodeId parent = tree_->parent(child);
-  if (parent == kNoNode) return false;
-  if (!NodeAlive(child)) return false;
-  bool delivered = UnicastToParentWith(child, payload_bytes, state_.node_rngs[child], fx->delta,
-                                       fx->drained);
-  fx->airtime = options_.radio.AirtimeMicros(payload_bytes) + fx->delta.backoff_us;
-  fx->sent = true;
-  return delivered;
-}
-
-void Network::CommitLaneSend(const LaneSendEffect& fx) {
-  CommitDrained(fx.drained);
-  state_.total.Add(fx.delta);
-  state_.by_phase[phase_id_].Add(fx.delta);
-  clock_.AdvanceTo(clock_.now() + fx.airtime);
+  return UnicastHop(child, parent, child, payload_bytes);
 }
 
 bool Network::UnicastUpPath(NodeId from, size_t payload_bytes) {
@@ -370,46 +322,14 @@ bool Network::UnicastUpPath(NodeId from, size_t payload_bytes) {
 
 bool Network::UnicastDownPath(NodeId target, size_t payload_bytes) {
   if (!tree_->attached(target)) return false;  // stranded by churn: no route
-  // Collect the sink -> target path, then charge each hop as a unicast with
-  // the same loss/retry discipline as the upward direction.
+  // Collect the sink -> target path, then send it top-down hop by hop.
   std::vector<NodeId> path;
   for (NodeId cur = target; cur != kNoNode; cur = tree_->parent(cur)) path.push_back(cur);
-  // path = [target, ..., sink]; walk it top-down.
+  // path = [target, ..., sink]. Down traffic shares the child-endpoint
+  // estimator slot with up traffic (the link is the same; LinkLossProb is
+  // symmetric).
   for (size_t i = path.size(); i-- > 1;) {
-    NodeId sender = path[i];
-    NodeId receiver = path[i - 1];
-    if (!NodeAlive(sender)) return false;
-    TrafficCounters delta;
-    uint32_t drained = 0;
-    bool delivered = false;
-    if (options_.reliability.enabled) {
-      // Down traffic shares the child-endpoint estimator slot with up traffic
-      // (the link is the same; LinkLossProb is symmetric).
-      delivered =
-          ReliableUnicast(sender, receiver, receiver, payload_bytes, rng_, delta, drained);
-    } else {
-      size_t frames = options_.radio.FramesForPayload(payload_bytes);
-      double link_loss = LinkLossProb(sender, receiver);
-      for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
-        ChargeTx(sender, payload_bytes, delta, drained);
-        bool lost = false;
-        for (size_t f = 0; f < frames && !lost; ++f) {
-          lost = rng_.NextBernoulli(link_loss);
-        }
-        if (!lost && NodeAlive(receiver)) {
-          double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-          drained += Spend(receiver, &EnergyMeter::AddRx, rx_j);
-          delta.rx_energy_j += rx_j;
-          delivered = true;
-        }
-      }
-    }
-    CommitDrained(drained);
-    state_.total.Add(delta);
-    state_.by_phase[phase_id_].Add(delta);
-    clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes) +
-                      delta.backoff_us);
-    if (!delivered) return false;
+    if (!UnicastHop(path[i], path[i - 1], path[i - 1], payload_bytes)) return false;
   }
   return true;
 }
@@ -437,23 +357,19 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
     delta.rx_energy_j += rx_j;
     if (!lost) delivered.push_back(child);
   }
-  CommitDrained(drained);
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
-  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  Commit(delta, drained, options_.radio.AirtimeMicros(payload_bytes));
   return delivered;
 }
 
 void Network::ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
                               double energy_j) {
-  CommitDrained(Spend(node, &EnergyMeter::AddStorage, energy_j));
   TrafficCounters delta;
   delta.flash_reads = reads;
   delta.flash_writes = writes;
   delta.flash_bytes = bytes;
   delta.flash_energy_j = energy_j;
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
+  // Radio-silent: no airtime, so the clock stays put.
+  Commit(delta, Spend(node, &EnergyMeter::AddStorage, energy_j), 0);
 }
 
 void Network::DeliverControl(NodeId from, NodeId to, size_t payload_bytes) {
@@ -462,11 +378,8 @@ void Network::DeliverControl(NodeId from, NodeId to, size_t payload_bytes) {
   ChargeTx(from, payload_bytes, delta, drained);
   double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
   drained += Spend(to, &EnergyMeter::AddRx, rx_j);
-  CommitDrained(drained);
   delta.rx_energy_j += rx_j;
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
-  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  Commit(delta, drained, options_.radio.AirtimeMicros(payload_bytes));
 }
 
 }  // namespace kspot::sim

@@ -42,7 +42,6 @@ void ShardState::Reset(size_t num_nodes, double battery_j) {
   total = TrafficCounters{};
   by_phase.clear();
   phase_touched.clear();
-  node_rngs.clear();
   link_est.assign(num_nodes, LinkEstimator{});
   retry_budget_left.assign(num_nodes, 0);
   epoch_degraded = 0;

@@ -6,8 +6,8 @@
 namespace kspot::sim {
 
 /// Identifier of a sensor node. The sink (base station / MIB520 gateway in the
-/// paper's deployment) is always node 0. 32-bit so the sharded execution
-/// engine's large-extent deployments (E16 runs up to n=100000) fit; the wire
+/// paper's deployment) is always node 0. 32-bit so large-extent deployments
+/// (E16 runs up to n=100000) fit; the wire
 /// format still models 2-byte node ids in its hardcoded message sizes, which
 /// is the radio being simulated, not this process-side handle.
 using NodeId = uint32_t;

@@ -4,13 +4,11 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
-#include "sim/shard_runtime.hpp"
 #include "sim/types.hpp"
 
 namespace kspot::sim {
@@ -37,21 +35,7 @@ class UpWave {
   /// Run calls; buffers keep their capacity across epochs.
   struct Workspace {
     std::vector<std::vector<Msg>> inbox;
-    /// Deferred cluster-head transmissions (sharded path only): a root's
-    /// produced message parks here until the merge barrier executes its
-    /// sink-facing send at the canonical wave-order slot.
-    std::vector<std::optional<Msg>> root_out;
   };
-
-  /// True when `produce` opted into lane-aware execution by accepting a
-  /// third `size_t lane` argument. Only lane-aware producers run sharded:
-  /// accepting the lane index is the callback's declaration that its writes
-  /// are confined to the visited node's own slots (or lane-indexed scratch),
-  /// which is the audit the parallel path relies on. Two-argument producers
-  /// always run the serial loop, runtime attached or not.
-  template <typename ProduceFn>
-  static constexpr bool kLaneAware =
-      std::is_invocable_v<ProduceFn&, NodeId, std::vector<Msg>&&, size_t>;
 
   /// Produce is called once per alive node in slot-schedule order with the
   /// messages that arrived from its children (losses already applied).
@@ -60,12 +44,6 @@ class UpWave {
   ///
   /// Runs the wave on `net` using the slotted TAG schedule. Returns the
   /// sink's produced value (nullopt if the sink produced none or is dead).
-  ///
-  /// When `net` has a ShardRuntime attached, it is sharding, and `produce`
-  /// is lane-aware, the cluster-head subtrees run concurrently and their
-  /// per-message effects are replayed serially in canonical wave order at
-  /// the epoch-boundary merge — bit-identical to the serial loop for any
-  /// shard and thread count (see RunSharded).
   template <typename ProduceFn, typename WireFn>
   static std::optional<Msg> Run(Network& net, ProduceFn&& produce, WireFn&& wire_bytes,
                                 Workspace* workspace = nullptr) {
@@ -78,12 +56,6 @@ class UpWave {
     Workspace local;
     Workspace& ws = workspace != nullptr ? *workspace : local;
     if (ws.inbox.size() != n) ws.inbox.assign(n, {});
-    if constexpr (kLaneAware<ProduceFn>) {
-      ShardRuntime* rt = net.shard_runtime();
-      if (rt != nullptr && rt->ShouldShard()) {
-        return RunSharded(net, *rt, produce, wire_bytes, ws);
-      }
-    }
     std::optional<Msg> sink_result;
     TimeUs base = net.clock().now();
     const size_t depth_cap = WaveDepthCap(net);
@@ -99,7 +71,7 @@ class UpWave {
         ws.inbox[node].clear();
         continue;
       }
-      std::optional<Msg> out = InvokeProduce(produce, node, std::move(ws.inbox[node]), 0);
+      std::optional<Msg> out = produce(node, std::move(ws.inbox[node]));
       ws.inbox[node].clear();
       if (node == kSinkId) {
         sink_result = std::move(out);
@@ -135,103 +107,6 @@ class UpWave {
     size_t slots = tree.max_depth();
     if (depth_cap > 0 && depth_cap < slots) slots = depth_cap;
     return static_cast<TimeUs>(slots);
-  }
-  /// Calls `produce` with or without the lane index, whichever it accepts.
-  template <typename ProduceFn>
-  static std::optional<Msg> InvokeProduce(ProduceFn& produce, NodeId node, std::vector<Msg>&& in,
-                                          size_t lane) {
-    if constexpr (kLaneAware<ProduceFn>) {
-      return produce(node, std::move(in), lane);
-    } else {
-      (void)lane;
-      return produce(node, std::move(in));
-    }
-  }
-
-  /// The parallel wave. Correctness rests on three structural facts:
-  ///
-  ///  1. Cluster-head subtrees are disjoint and only meet at the sink, so
-  ///     lanes touch disjoint per-node state (inboxes, meters, sent_by) —
-  ///     every in-lane transmission has both endpoints inside one lane.
-  ///     A root's own send would touch the shared sink, so it is deferred.
-  ///  2. wave_order is depth-descending: every non-root precedes every root,
-  ///     and roots precede the sink. Replaying captured send effects
-  ///     node-by-node in wave order therefore reproduces the serial
-  ///     execution op-for-op — the same counter accumulation order (floating
-  ///     point sums included), the same clock trajectory, and the deferred
-  ///     root sends land exactly at their canonical slots.
-  ///  3. Loss randomness comes from per-sender RNG substreams (seeded at
-  ///     runtime attach), so the draw sequence each sender sees is a
-  ///     function of the sender alone — invariant under shard count, thread
-  ///     count, and lane interleaving.
-  template <typename ProduceFn, typename WireFn>
-  static std::optional<Msg> RunSharded(Network& net, ShardRuntime& rt, ProduceFn& produce,
-                                       WireFn& wire_bytes, Workspace& ws) {
-    const RoutingTree& tree = net.tree();
-    const ShardPlan& plan = rt.plan();
-    std::vector<LaneSendEffect>& captures = rt.captures();
-    if (ws.root_out.size() != tree.num_nodes()) ws.root_out.assign(tree.num_nodes(), std::nullopt);
-    TimeUs base = net.clock().now();
-    // Deadline accounting runs serially before the lanes launch; lanes only
-    // read the cap (epoch_degraded is never written from a lane).
-    const size_t depth_cap = WaveDepthCap(net);
-    if (depth_cap > 0) net.ApplyWaveDepthBudget(static_cast<int>(depth_cap));
-
-    rt.RunLanes([&](size_t lane) {
-      for (NodeId node : plan.lanes[lane]) {
-        captures[node] = LaneSendEffect{};
-        if (depth_cap > 0 && static_cast<size_t>(tree.depth(node)) > depth_cap) {
-          ws.inbox[node].clear();
-          continue;
-        }
-        if (!net.NodeAlive(node)) {
-          ws.inbox[node].clear();
-          continue;
-        }
-        std::optional<Msg> out = InvokeProduce(produce, node, std::move(ws.inbox[node]), lane);
-        ws.inbox[node].clear();
-        if (!out.has_value()) continue;
-        if (tree.parent(node) == kSinkId) {
-          ws.root_out[node] = std::move(out);
-          continue;
-        }
-        size_t bytes = wire_bytes(*out);
-        if (net.LaneUnicastToParent(node, bytes, &captures[node])) {
-          ws.inbox[tree.parent(node)].push_back(std::move(*out));
-        }
-      }
-    });
-
-    // Merge barrier: replay every captured effect in canonical wave order,
-    // execute the deferred root sends at their slots, then let the sink
-    // aggregate — all serial.
-    std::optional<Msg> sink_result;
-    for (NodeId node : tree.wave_order()) {
-      if (node == kSinkId) {
-        if (net.NodeAlive(kSinkId)) {
-          sink_result = InvokeProduce(produce, kSinkId, std::move(ws.inbox[kSinkId]), 0);
-        }
-        ws.inbox[kSinkId].clear();
-        continue;
-      }
-      if (plan.lane_of[node] == kNoLane) continue;  // detached by churn: never visited
-      if (ws.root_out[node].has_value()) {
-        std::optional<Msg> out = std::move(ws.root_out[node]);
-        ws.root_out[node].reset();
-        size_t bytes = wire_bytes(*out);
-        if (net.LaneUnicastToParent(node, bytes, &captures[node])) {
-          ws.inbox[kSinkId].push_back(std::move(*out));
-        }
-        net.CommitLaneSend(captures[node]);
-      } else if (captures[node].sent) {
-        net.CommitLaneSend(captures[node]);
-      }
-    }
-    if (!tree.post_order().empty()) {
-      net.clock().AdvanceTo(base + WaveSlots(tree, depth_cap) * kSlotUs +
-                             static_cast<TimeUs>(tree.post_order().size() - 1));
-    }
-    return sink_result;
   }
 };
 

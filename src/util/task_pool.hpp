@@ -16,14 +16,13 @@ namespace kspot::util {
 ///
 /// One pool serves any number of sequential ParallelFor calls; the worker
 /// threads are spawned once and parked between jobs, so per-call overhead is
-/// a notify + join barrier instead of thread creation. Both the trial fan-out
-/// of runner::ExperimentEngine and the per-subtree shard lanes of
-/// sim::ShardRuntime run on this pool.
+/// a notify + join barrier instead of thread creation. The trial fan-out of
+/// runner::ExperimentEngine runs on this pool.
 ///
 /// ParallelFor is a barrier: it returns only when every index has executed.
 /// Indices are claimed from an atomic counter, so work is distributed
 /// dynamically; callers needing deterministic *results* must make each
-/// index's work independent of claim order (both users above do).
+/// index's work independent of claim order (the engine's trials are).
 class TaskPool {
  public:
   /// Creates a pool with `threads` workers; 0 = hardware concurrency.

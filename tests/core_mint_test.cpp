@@ -7,7 +7,6 @@
 #include "core/oracle.hpp"
 #include "core/tag.hpp"
 #include "fault/churn_engine.hpp"
-#include "sim/shard_runtime.hpp"
 #include "test_util.hpp"
 #include "util/fixed_point.hpp"
 
@@ -239,7 +238,7 @@ TEST(MintTest, SuppressionSilencesBoringSubtrees) {
 // ids up to the codec's u16 limit, node grouping (a c_g entry per
 // descendant), every aggregate kind, transient loss (counts max-merged over
 // full waves) and incremental churn repair (counts re-derived over the
-// survivors). Sharded lanes must reproduce the serial digests exactly.
+// survivors).
 
 /// FNV-1a accumulator.
 struct Fnv {
@@ -258,7 +257,6 @@ struct DigestRun {
   QuerySpec spec;
   MintViews::Options options;
   fault::FaultPlan plan;
-  size_t shards = 1;
   sim::Epoch epochs = 40;
   /// When set, every answer must also equal the oracle's over the alive,
   /// attached population (lossless runs).
@@ -267,12 +265,6 @@ struct DigestRun {
 
 uint64_t MintDigest(TestBed& bed, const std::function<std::unique_ptr<data::DataGenerator>()>& gen,
                     const DigestRun& run, int* incremental_repairs = nullptr) {
-  std::unique_ptr<sim::ShardRuntime> rt;
-  if (run.shards > 1) {
-    rt = std::make_unique<sim::ShardRuntime>(bed.net.get(),
-                                             sim::ShardRuntime::Options{run.shards, 2});
-    EXPECT_TRUE(rt->ShouldShard());
-  }
   auto data = gen();
   auto oracle_data = gen();
   MintViews mint(bed.net.get(), data.get(), run.spec, run.options);
@@ -317,30 +309,24 @@ std::function<std::unique_ptr<data::DataGenerator>()> RoomData(const sim::Topolo
 
 TEST(MintDigestTest, SparseRoomIdsUpToTheCodecLimit) {
   const sim::GroupId kSparse[] = {0, 7, 300, 65535};
-  for (size_t shards : {1, 4}) {
-    auto bed = TestBed::Clustered(100, 4, 307);
-    for (sim::NodeId id = 1; id < bed.topology.num_nodes(); ++id) {
-      bed.topology.set_room(id, kSparse[bed.topology.room(id) % 4]);
-    }
-    DigestRun run;
-    run.spec = SoundSpec(2);
-    run.shards = shards;
-    EXPECT_EQ(MintDigest(bed, RoomData(bed.topology, 11), run), 0xb6bb99c019398e94ULL) << shards << " shards";
+  auto bed = TestBed::Clustered(100, 4, 307);
+  for (sim::NodeId id = 1; id < bed.topology.num_nodes(); ++id) {
+    bed.topology.set_room(id, kSparse[bed.topology.room(id) % 4]);
   }
+  DigestRun run;
+  run.spec = SoundSpec(2);
+  EXPECT_EQ(MintDigest(bed, RoomData(bed.topology, 11), run), 0xb6bb99c019398e94ULL);
 }
 
 TEST(MintDigestTest, NodeGroupingKeepsOneCountPerDescendant) {
-  for (size_t shards : {1, 4}) {
-    auto bed = TestBed::Clustered(81, 6, 311);
-    DigestRun run;
-    run.spec = SoundSpec(3, agg::AggKind::kAvg, Grouping::kNode);
-    run.shards = shards;
-    auto gen = [] {
-      return std::make_unique<data::RandomWalkGenerator>(81, data::Modality::kSound, 0.8,
-                                                         util::Rng(13), /*quantize_step=*/1.0);
-    };
-    EXPECT_EQ(MintDigest(bed, gen, run), 0xd9fa277497577013ULL) << shards << " shards";
-  }
+  auto bed = TestBed::Clustered(81, 6, 311);
+  DigestRun run;
+  run.spec = SoundSpec(3, agg::AggKind::kAvg, Grouping::kNode);
+  auto gen = [] {
+    return std::make_unique<data::RandomWalkGenerator>(81, data::Modality::kSound, 0.8,
+                                                       util::Rng(13), /*quantize_step=*/1.0);
+  };
+  EXPECT_EQ(MintDigest(bed, gen, run), 0xd9fa277497577013ULL);
 }
 
 TEST(MintDigestTest, EveryAggregateKind) {
@@ -380,30 +366,26 @@ TEST(MintDigestTest, LossyLinksMaxMergeCardinalities) {
 }
 
 TEST(MintDigestTest, IncrementalChurnRepairRecountsCardinalities) {
-  for (size_t shards : {1, 4}) {
-    auto bed = TestBed::Clustered(120, 8, 331);
-    // Crash relay nodes so whole subtrees re-attach, then bring them back.
-    std::vector<sim::NodeId> relays;
-    for (sim::NodeId id = 1; id < bed.tree.num_nodes(); ++id) {
-      if (!bed.tree.children(id).empty()) relays.push_back(id);
-    }
-    ASSERT_GE(relays.size(), 6u);
-    DigestRun run;
-    run.spec = SoundSpec(3);
-    run.shards = shards;
-    run.epochs = 50;
-    run.plan.seed = 331;
-    run.plan.events = {{5, fault::FaultEvent::Kind::kCrash, relays[1], 0.0},
-                       {9, fault::FaultEvent::Kind::kCrash, relays[3], 0.0},
-                       {14, fault::FaultEvent::Kind::kRecover, relays[1], 0.0},
-                       {22, fault::FaultEvent::Kind::kCrash, relays[5], 0.0},
-                       {30, fault::FaultEvent::Kind::kRecover, relays[3], 0.0},
-                       {38, fault::FaultEvent::Kind::kRecover, relays[5], 0.0}};
-    int incremental = 0;
-    EXPECT_EQ(MintDigest(bed, RoomData(bed.topology, 23), run, &incremental), 0xe009160a30ae9dc2ULL)
-        << shards << " shards";
-    EXPECT_GT(incremental, 0);
+  auto bed = TestBed::Clustered(120, 8, 331);
+  // Crash relay nodes so whole subtrees re-attach, then bring them back.
+  std::vector<sim::NodeId> relays;
+  for (sim::NodeId id = 1; id < bed.tree.num_nodes(); ++id) {
+    if (!bed.tree.children(id).empty()) relays.push_back(id);
   }
+  ASSERT_GE(relays.size(), 6u);
+  DigestRun run;
+  run.spec = SoundSpec(3);
+  run.epochs = 50;
+  run.plan.seed = 331;
+  run.plan.events = {{5, fault::FaultEvent::Kind::kCrash, relays[1], 0.0},
+                     {9, fault::FaultEvent::Kind::kCrash, relays[3], 0.0},
+                     {14, fault::FaultEvent::Kind::kRecover, relays[1], 0.0},
+                     {22, fault::FaultEvent::Kind::kCrash, relays[5], 0.0},
+                     {30, fault::FaultEvent::Kind::kRecover, relays[3], 0.0},
+                     {38, fault::FaultEvent::Kind::kRecover, relays[5], 0.0}};
+  int incremental = 0;
+  EXPECT_EQ(MintDigest(bed, RoomData(bed.topology, 23), run, &incremental), 0xe009160a30ae9dc2ULL);
+  EXPECT_GT(incremental, 0);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "fault/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
-#include "sim/shard_runtime.hpp"
 #include "sim/topology.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -678,68 +677,58 @@ TEST(NetworkFaultTest, ExtraLossCompoundsOnLinks) {
 
 // AliveAttachedSensors() is kept incrementally (SetNodeUp, battery deaths,
 // tree revisions). Through a crash/degrade/burst plan with batteries running
-// out, it must equal a brute-force scan before and after every epoch: on the
-// serial path, and with the up-wave split across shard lanes, where a death
-// happens inside a lane and comes off the count at the merge.
+// out, it must equal a brute-force scan before and after every epoch.
 TEST(NetworkFaultTest, AliveAttachedCountMatchesScanThroughChurnAndBatteryDeaths) {
-  for (size_t shards : {1, 4}) {
-    sim::NetworkOptions net_opt;
-    net_opt.battery_j = 0.2;  // about ten sensors die within the run
-    net_opt.loss_prob = 0.05;
-    net_opt.max_retries = 1;
-    testing::TestBed bed = testing::TestBed::Clustered(120, 6, 41, net_opt);
-    std::unique_ptr<sim::ShardRuntime> rt;
-    if (shards > 1) {
-      rt = std::make_unique<sim::ShardRuntime>(bed.net.get(),
-                                               sim::ShardRuntime::Options{shards, 2});
-      ASSERT_TRUE(rt->ShouldShard());
+  sim::NetworkOptions net_opt;
+  net_opt.battery_j = 0.2;  // about ten sensors die within the run
+  net_opt.loss_prob = 0.05;
+  net_opt.max_retries = 1;
+  testing::TestBed bed = testing::TestBed::Clustered(120, 6, 41, net_opt);
+  std::vector<sim::GroupId> rooms;
+  for (NodeId id = 0; id < bed.topology.num_nodes(); ++id) rooms.push_back(bed.topology.room(id));
+  data::RoomCorrelatedGenerator gen(rooms, data::Modality::kSound, 1.0, 1.0, util::Rng(41));
+  core::QuerySpec spec;
+  spec.k = 2;
+  spec.domain_max = 100.0;
+  core::TagTopK tag(bed.net.get(), &gen, spec);
+  FaultPlan plan;
+  plan.seed = 41;
+  plan.events = {{3, FaultEvent::Kind::kCrash, 17, 0.0},
+                 {6, FaultEvent::Kind::kDegradeStart, 33, 0.3},
+                 {8, FaultEvent::Kind::kBurstStart, 5, 0.5},
+                 {12, FaultEvent::Kind::kBurstEnd, 5, 0.0},
+                 {15, FaultEvent::Kind::kRecover, 17, 0.0},
+                 {20, FaultEvent::Kind::kDegradeEnd, 33, 0.0},
+                 {25, FaultEvent::Kind::kCrash, 60, 0.0},
+                 {40, FaultEvent::Kind::kRecover, 60, 0.0}};
+  ChurnEngine churn(bed.net.get(), &bed.tree, std::move(plan));
+  // Const access only: the mutable meter() would force a recount and hide
+  // a stale count.
+  const sim::Network& net = *bed.net;
+  auto scan = [&] {
+    size_t n = 0;
+    for (NodeId id = 1; id < bed.topology.num_nodes(); ++id) {
+      if (net.NodeAlive(id) && bed.tree.attached(id)) ++n;
     }
-    std::vector<sim::GroupId> rooms;
-    for (NodeId id = 0; id < bed.topology.num_nodes(); ++id) rooms.push_back(bed.topology.room(id));
-    data::RoomCorrelatedGenerator gen(rooms, data::Modality::kSound, 1.0, 1.0, util::Rng(41));
-    core::QuerySpec spec;
-    spec.k = 2;
-    spec.domain_max = 100.0;
-    core::TagTopK tag(bed.net.get(), &gen, spec);
-    FaultPlan plan;
-    plan.seed = 41;
-    plan.events = {{3, FaultEvent::Kind::kCrash, 17, 0.0},
-                   {6, FaultEvent::Kind::kDegradeStart, 33, 0.3},
-                   {8, FaultEvent::Kind::kBurstStart, 5, 0.5},
-                   {12, FaultEvent::Kind::kBurstEnd, 5, 0.0},
-                   {15, FaultEvent::Kind::kRecover, 17, 0.0},
-                   {20, FaultEvent::Kind::kDegradeEnd, 33, 0.0},
-                   {25, FaultEvent::Kind::kCrash, 60, 0.0},
-                   {40, FaultEvent::Kind::kRecover, 60, 0.0}};
-    ChurnEngine churn(bed.net.get(), &bed.tree, std::move(plan));
-    // Const access only: the mutable meter() would force a recount and hide
-    // a stale count.
-    const sim::Network& net = *bed.net;
-    auto scan = [&] {
-      size_t n = 0;
-      for (NodeId id = 1; id < bed.topology.num_nodes(); ++id) {
-        if (net.NodeAlive(id) && bed.tree.attached(id)) ++n;
-      }
-      return n;
-    };
-    size_t deaths = 0;
-    for (sim::Epoch e = 0; e < 80; ++e) {
-      deaths += churn.BeginEpoch(e).battery_deaths;
-      ASSERT_EQ(net.AliveAttachedSensors(), scan()) << shards << " shards, before epoch " << e;
-      tag.RunEpoch(e);
-      ASSERT_EQ(net.AliveAttachedSensors(), scan()) << shards << " shards, after epoch " << e;
-    }
-    EXPECT_GT(deaths, 0u);
-    // SetNodeUp alone, with no repair after it, moves the count too.
-    auto alive = std::find_if(bed.tree.post_order().begin(), bed.tree.post_order().end(),
-                              [&](NodeId id) { return id != kSinkId && net.NodeAlive(id); });
-    ASSERT_NE(alive, bed.tree.post_order().end());
-    size_t before = net.AliveAttachedSensors();
-    for (bool up : {false, false, true, true}) {
-      bed.net->SetNodeUp(*alive, up);
-      EXPECT_EQ(net.AliveAttachedSensors(), up ? before : before - 1);
-      EXPECT_EQ(net.AliveAttachedSensors(), scan());
-    }
+    return n;
+  };
+  size_t deaths = 0;
+  for (sim::Epoch e = 0; e < 80; ++e) {
+    deaths += churn.BeginEpoch(e).battery_deaths;
+    ASSERT_EQ(net.AliveAttachedSensors(), scan()) << "before epoch " << e;
+    tag.RunEpoch(e);
+    ASSERT_EQ(net.AliveAttachedSensors(), scan()) << "after epoch " << e;
+  }
+  EXPECT_GT(deaths, 0u);
+  // SetNodeUp alone, with no repair after it, moves the count too.
+  auto alive = std::find_if(bed.tree.post_order().begin(), bed.tree.post_order().end(),
+                            [&](NodeId id) { return id != kSinkId && net.NodeAlive(id); });
+  ASSERT_NE(alive, bed.tree.post_order().end());
+  size_t before = net.AliveAttachedSensors();
+  for (bool up : {false, false, true, true}) {
+    bed.net->SetNodeUp(*alive, up);
+    EXPECT_EQ(net.AliveAttachedSensors(), up ? before : before - 1);
+    EXPECT_EQ(net.AliveAttachedSensors(), scan());
   }
 }
 

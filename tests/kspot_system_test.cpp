@@ -62,6 +62,23 @@ TEST(ScenarioTest, RejectsRoomIdsOutsideU16WithLineNumber) {
   EXPECT_EQ(edges.value().nodes[2].room, 65535);
 }
 
+TEST(ScenarioTest, RejectsBadNodeIdsWithLineNumber) {
+  // -1 would cast to kNoNode; 2^32 would wrap to 0 and become a second sink.
+  for (const char* id : {"-1", "4294967295", "4294967296", "1"}) {
+    auto parsed = Scenario::FromText(std::string("node 0 0 0 0\nnode 1 1 1 0\nnode ") + id +
+                                     " 2 2 0\n");
+    ASSERT_FALSE(parsed.ok()) << id;
+    EXPECT_NE(parsed.status().message().find("scenario line 3"), std::string::npos)
+        << parsed.status().message();
+    EXPECT_NE(parsed.status().message().find(id), std::string::npos)
+        << parsed.status().message();
+  }
+  // The largest real id is accepted.
+  auto edge = Scenario::FromText("node 0 0 0 0\nnode 4294967294 1 1 0\n");
+  ASSERT_TRUE(edge.ok()) << edge.status().message();
+  EXPECT_EQ(edge.value().nodes[1].id, 4294967294u);
+}
+
 TEST(ScenarioTest, BuildTopologyMapsRooms) {
   Scenario s = Scenario::Figure1();
   sim::Topology t = s.BuildTopology();

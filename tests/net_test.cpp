@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bench_util.hpp"
 #include "net/serializer.hpp"
 
 namespace kspot::net {
@@ -206,3 +207,57 @@ TEST(SerializerTest, PositionTracksReads) {
 
 }  // namespace
 }  // namespace kspot::net
+
+namespace kspot {
+namespace {
+
+// ------------------------------------------------- Network value semantics
+
+TEST(NetworkCopyTest, CopiesEvolveIndependently) {
+  bench::Bed bed = bench::Bed::Grid(49, 8, 7);
+
+  sim::Network copy = *bed.net;
+  EXPECT_EQ(copy.total().messages, bed.net->total().messages);
+
+  // Traffic on the original is invisible to the copy, and vice versa.
+  sim::NodeId leaf = bed.tree.wave_order().front();
+  ASSERT_NE(leaf, sim::kSinkId);
+  uint64_t before = copy.total().messages;
+  bed.net->SetPhase("copy.test");
+  bed.net->UnicastToParent(leaf, 10);
+  EXPECT_EQ(copy.total().messages, before);
+  EXPECT_GT(bed.net->total().messages, before);
+
+  copy.SetPhase("copy.test");
+  copy.UnicastToParent(leaf, 10);
+  copy.UnicastToParent(leaf, 10);
+  EXPECT_EQ(copy.total().messages, before + 2);
+  EXPECT_EQ(copy.MessagesSentBy(leaf), bed.net->MessagesSentBy(leaf) + 1);
+}
+
+// ------------------------------------------------------------- unicast hops
+
+/// Both unicast directions stop retrying once the sender's battery is gone:
+/// with every frame lost and 3 retries allowed, a sender whose battery
+/// cannot pay for even one transmission sends exactly once.
+TEST(NetworkUnicastTest, DeadSenderStopsRetryingInBothDirections) {
+  sim::NetworkOptions opt;
+  opt.loss_prob = 1.0;
+  opt.max_retries = 3;
+  opt.battery_j = 1e-9;  // below the cost of one transmission
+  bench::Bed up = bench::Bed::Figure1(opt);
+  ASSERT_EQ(up.tree.parent(2), sim::kSinkId);
+  EXPECT_FALSE(up.net->UnicastToParent(2, 20));
+  EXPECT_EQ(up.net->MessagesSentBy(2), 1u);
+  EXPECT_EQ(up.net->total().messages, 1u);
+  EXPECT_FALSE(up.net->NodeAlive(2));
+
+  bench::Bed down = bench::Bed::Figure1(opt);
+  EXPECT_FALSE(down.net->UnicastDownPath(2, 20));
+  EXPECT_EQ(down.net->MessagesSentBy(sim::kSinkId), 1u);
+  EXPECT_EQ(down.net->total().messages, 1u);
+  EXPECT_FALSE(down.net->NodeAlive(sim::kSinkId));
+}
+
+}  // namespace
+}  // namespace kspot
